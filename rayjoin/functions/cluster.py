@@ -46,6 +46,24 @@ _OUT_EMPTY = pa.table(
 )
 
 
+class TimesMissingRowId(ValueError):
+    """ST-DBSCAN's ``times`` has no timestamp for a point's row_id."""
+
+    def __init__(self, row_id: int):
+        self.row_id = row_id
+        super().__init__(f"times missing row_id {row_id}")
+
+
+def _times_at(ids_s: np.ndarray, tv: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Timestamps of ``ids`` from the row_id-sorted (ids_s, tv) arrays."""
+    pos = np.searchsorted(ids_s, ids)
+    ok = pos < ids_s.size
+    ok[ok] = ids_s[pos[ok]] == ids[ok]
+    if not ok.all():
+        raise TimesMissingRowId(int(ids[~ok][0]))
+    return tv[pos]
+
+
 def _pin_out(t: pa.Table, is_core: bool) -> pa.Table:
     return pa.table(
         {
@@ -102,7 +120,8 @@ def dbscan(points, *, eps: float, min_pts: int, target_cells: int = 256,
     join/geodesic.py).  Everything downstream of the edge list is shared.
 
     ``times`` + ``eps_t`` turn this into ST-DBSCAN (Birant & Kut 2007):
-    ``times`` is a Dataset/Table[row_id, t] (int64; every point present)
+    ``times`` is a Dataset/Table[row_id, t] (int64; every point present,
+    else both tiers raise ``TimesMissingRowId``)
     and a pair is a neighbor only when BOTH the spatial eps and
     |t_a - t_b| <= eps_t hold.  The temporal predicate filters the spatial
     edge list through the engine's usual tiering: a sorted (row_id, t)
@@ -173,8 +192,8 @@ def dbscan(points, *, eps: float, min_pts: int, target_cells: int = 256,
                 ids_s, tv = ray.get(tref)
                 a = np.asarray(t["big_row_id"].combine_chunks(), dtype=np.int64)
                 b = np.asarray(t["small_row_id"].combine_chunks(), dtype=np.int64)
-                ta = tv[np.searchsorted(ids_s, a)]
-                tb = tv[np.searchsorted(ids_s, b)]
+                ta = _times_at(ids_s, tv, a)
+                tb = _times_at(ids_s, tv, b)
                 keep = np.abs(ta - tb) <= et
                 return t.filter(pa.array(keep))
 
@@ -189,11 +208,17 @@ def dbscan(points, *, eps: float, min_pts: int, target_cells: int = 256,
                                     "tb": t["t"].cast(pa.int64())}),
                 batch_format="pyarrow")
             nj = _num_join_partitions(edges)
-            edges = (edges.join(ta_ds, "inner", nj, on=("big_row_id",))
-                     .join(tb_ds, "inner", nj, on=("small_row_id",)))
+            # left joins: an endpoint without a timestamp shows as a null
+            # and fails below instead of silently dropping its edges
+            edges = (edges.join(ta_ds, "left_outer", nj, on=("big_row_id",))
+                     .join(tb_ds, "left_outer", nj, on=("small_row_id",)))
             et = pa.scalar(int(eps_t), pa.int64())
 
             def tkeep(t: pa.Table) -> pa.Table:
+                for col, tcol in (("big_row_id", "ta"), ("small_row_id", "tb")):
+                    if t[tcol].null_count:
+                        missing = t[col].filter(pc.is_null(t[tcol]))
+                        raise TimesMissingRowId(missing[0].as_py())
                 keep = pc.less_equal(
                     pc.abs(pc.subtract(t["ta"], t["tb"])), et)
                 return t.filter(keep).select(["big_row_id", "small_row_id"])

@@ -5936,7 +5936,11 @@ def q_decayed_counts(sf_dir: str):
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
-    ref_day = int(ev.max("ts").timestamp() * 1_000_000) // 86_400_000_000
+    # integer epoch-us max (float .timestamp() can round across a day edge)
+    ts_us = ev.map_batches(
+        lambda t: pa.table({"ts_us": t["ts"].combine_chunks().cast(pa.int64())}),
+        batch_format="pyarrow")
+    ref_day = int(ts_us.max("ts_us")) // 86_400_000_000
 
     def decay(t: pa.Table) -> pa.Table:
         day = (np.asarray(t["ts"].combine_chunks().cast(pa.int64()),

@@ -10,27 +10,47 @@ bbox overlap (rstar ``locate_in_envelope_intersecting`` semantics); any
 bulk-packed tree is semantically equivalent since trees only affect candidate
 generation, never the final predicate answer (SURVEY.md §2.3).
 
-Queries are fully vectorized: a whole batch of query boxes descends level by
-level with one overlap test per (frontier × child) expansion — no per-row
-Python.
+The tree is STR's own layout — x-slices, each a y-sorted run of 16-entry
+leaves — and a batch of query boxes descends it vectorized: two
+``np.searchsorted`` calls over the prefix-max slice ``xmax`` and suffix-min
+slice ``xmin`` find the candidate slices, a segmented binary search over each
+run's prefix-max leaf ``ymax`` and suffix-min leaf ``ymin`` finds the
+candidate leaves, and every slice, leaf and entry in range gets an exact
+inclusive box test.  Pairs come out sorted by query index, then by packed
+position.  Slices and runs are sorted by box center, so wide entries loosen
+the prefix bounds: the worst case adds O(√(n/16)) slice and leaf tests per
+query.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
 
 import numpy as np
 
 
-def _minmax_reduceat(arr: np.ndarray, starts: np.ndarray, fanout: int) -> np.ndarray:
-    """Group rows of (n,4) bbox array into chunks of `fanout`; union bboxes."""
-    out = np.empty((starts.size, 4), dtype=np.float64)
-    out[:, 0] = np.minimum.reduceat(arr[:, 0], starts)
-    out[:, 1] = np.minimum.reduceat(arr[:, 1], starts)
-    out[:, 2] = np.maximum.reduceat(arr[:, 2], starts)
-    out[:, 3] = np.maximum.reduceat(arr[:, 3], starts)
-    return out
+def _overlaps(x0, y0, x1, y1, box, k) -> np.ndarray:
+    """Inclusive overlap of query sides with ``box[:, k]``; a NaN side
+    never rejects."""
+    return ~((x0 > box[2][k]) | (x1 < box[0][k]) | (y0 > box[3][k]) | (y1 < box[1][k]))
+
+
+def _expand(q: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Pairs (q[i], k) for every k in [lo[i], hi[i]), in order."""
+    cnt = np.maximum(hi - lo, 0)
+    k = np.arange(int(cnt.sum()), dtype=np.int64)
+    k += np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    return np.repeat(q, cnt), k
+
+
+def _bound(a: np.ndarray, base: np.ndarray, n: int, v: np.ndarray, below) -> np.ndarray:
+    """Per pair, the first i in the run [base, base + n) with not
+    ``below(a[i], v)``, else base + n; ``a`` is nondecreasing on each run."""
+    while n > 1:
+        half = n >> 1
+        base = np.where(below(a[base + half], v), base + half, base)
+        n -= half
+    return base + below(a[base], v)
 
 
 class STRtree:
@@ -40,11 +60,9 @@ class STRtree:
         bbox = np.ascontiguousarray(bbox, dtype=np.float64)
         n = bbox.shape[0]
         self.n = n
-        self.fanout = leaf_size
         self.ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
         if n == 0:
             self.order = np.empty(0, dtype=np.int64)
-            self.levels: List[np.ndarray] = []
             return
         c = leaf_size
         # STR pack: sort by x-center, tile into sqrt(L) vertical slices,
@@ -61,50 +79,34 @@ class STRtree:
             order[s : s + slice_sz] = seg_sorted
         self.order = order
 
-        levels = [bbox[order]]
-        while levels[-1].shape[0] > 1:
-            cur = levels[-1]
-            starts = np.arange(0, cur.shape[0], self.fanout, dtype=np.int64)
-            levels.append(_minmax_reduceat(cur, starts, self.fanout))
-        self.levels = levels
-        self._padded = None
+        # entries: four SoA (leaves, c) arrays, padded with inverted-infinite
+        # boxes to whole leaves and to runs of equal length; a NaN side of a
+        # leaf widens to ±inf, which passes every test exactly as the NaN
+        # does and keeps the prefix bounds sortable
+        self.run = run = slice_sz // c
+        n_runs = -(-n_leaves // run)
+        ent = np.empty((4, n_runs * run * c), dtype=np.float64)
+        ent[:2], ent[2:] = np.inf, -np.inf
+        ent[:, :n] = bbox[order].T
+        self.entries = ent.reshape(4, n_runs * run, c)
+        self.leaves = np.concatenate([np.fmax(self.entries[:2].min(axis=2), -np.inf),
+                                      np.fmin(self.entries[2:].max(axis=2), np.inf)])
+        runs = self.leaves.reshape(4, n_runs, run)
+        self.slices = np.concatenate([runs[:2].min(axis=2), runs[2:].max(axis=2)])
+        self.root = np.concatenate([self.slices[:2].min(axis=1), self.slices[2:].max(axis=1)])
+        self.sx_hi = np.maximum.accumulate(self.slices[2])
+        self.sx_lo = np.minimum.accumulate(self.slices[0, ::-1])[::-1].copy()
+        # per run: prefix-max leaf ymax, suffix-min leaf ymin
+        self.ly_hi = np.maximum.accumulate(runs[3], axis=1).ravel()
+        self.ly_lo = np.minimum.accumulate(runs[1, :, ::-1], axis=1)[:, ::-1].ravel()
 
-    @property
-    def padded(self):
-        """Padded (n_nodes, F, 4) child views per level: padding boxes are
-        inverted-infinite so they never overlap anything; lets the query
-        descend with one gather + one 3-D compare per level instead of
-        repeat/cumsum frontier machinery (~3x faster on wide frontiers).
-        Derivable from ``levels`` -> dropped from pickles (broadcast size)
-        and rebuilt once per receiving worker."""
-        if self._padded is None:
-            F = self.fanout
-            padded = []
-            for lvl in self.levels:
-                n_nodes = (lvl.shape[0] + F - 1) // F
-                pad = np.empty((n_nodes * F, 4), dtype=np.float64)
-                pad[:, 0] = np.inf
-                pad[:, 1] = np.inf
-                pad[:, 2] = -np.inf
-                pad[:, 3] = -np.inf
-                pad[: lvl.shape[0]] = lvl
-                padded.append(pad.reshape(n_nodes, F, 4))
-            self._padded = padded
-        return self._padded
-
-    def __getstate__(self):
-        d = self.__dict__.copy()
-        d["_padded"] = None
-        return d
-
-    def query(self, qbox: np.ndarray, chunk: int = 8192) -> Tuple[np.ndarray, np.ndarray]:
+    def query(self, qbox: np.ndarray, chunk: int = 8192) -> tuple[np.ndarray, np.ndarray]:
         """Inclusive bbox-overlap candidates.
 
         qbox: (m,4) query boxes -> (query_idx, entry_id) with entry_id from
-        ``ids`` (original row identity).  Processed in probe chunks so the
-        per-level (frontier, F, 4) gather temporaries stay cache-sized —
-        unbounded frontiers allocate GBs and thrash memory bandwidth when
-        many workers run concurrently.
+        ``ids`` (original row identity), sorted by query_idx then packed
+        position.  Processed in probe chunks so the (pairs, 16) entry-test
+        temporaries stay cache-sized.
         """
         qbox = np.ascontiguousarray(qbox, dtype=np.float64)
         m = qbox.shape[0]
@@ -117,34 +119,29 @@ class STRtree:
                 qs.append(q + lo)
                 es.append(e)
             return np.concatenate(qs), np.concatenate(es)
-        F = self.fanout
-        top = len(self.levels) - 1
-        # root check
-        root = self.levels[top][0]
-        fq = np.flatnonzero(
-            ~(
-                (qbox[:, 0] > root[2])
-                | (qbox[:, 2] < root[0])
-                | (qbox[:, 1] > root[3])
-                | (qbox[:, 3] < root[1])
-            )
-        ).astype(np.int64)
-        fn = np.zeros(fq.size, dtype=np.int64)
-        for lvl in range(top - 1, -1, -1):
-            if fq.size == 0:
-                break
-            C = self.padded[lvl][fn]  # (k, F, 4)
-            Q = qbox[fq]
-            hit = ~(
-                (Q[:, None, 0] > C[:, :, 2])
-                | (Q[:, None, 2] < C[:, :, 0])
-                | (Q[:, None, 1] > C[:, :, 3])
-                | (Q[:, None, 3] < C[:, :, 1])
-            )
-            i, j = np.nonzero(hit)
-            fq = fq[i]
-            fn = fn[i] * F + j
-        return fq, self.ids[self.order[fn]]
+        x0, y0, x1, y1 = qbox.T
+        # root: early exit for queries outside the whole index
+        q = np.flatnonzero(_overlaps(x0, y0, x1, y1, self.root[:, None], 0))
+        # a NaN query side bounds nothing
+        lo = np.searchsorted(self.sx_hi, np.fmax(x0[q], -np.inf), "left")
+        hi = np.searchsorted(self.sx_lo, np.fmin(x1[q], np.inf), "right")
+        q, s = _expand(q, lo, hi)
+        keep = _overlaps(x0[q], y0[q], x1[q], y1[q], self.slices, s)
+        q, s = q[keep], s[keep]
+        first = s * self.run
+        lo = _bound(self.ly_hi, first, self.run, np.fmax(y0[q], -np.inf), np.less)
+        hi = _bound(self.ly_lo, first, self.run, np.fmin(y1[q], np.inf), np.less_equal)
+        q, f = _expand(q, lo, hi)
+        keep = _overlaps(x0[q], y0[q], x1[q], y1[q], self.leaves, f)
+        q, f = q[keep], f[keep]
+        hit = _overlaps(x0[q, None], y0[q, None], x1[q, None], y1[q, None], self.entries, f)
+        i, j = np.nonzero(hit)
+        q, pos = q[i], f[i] * self.entries.shape[2] + j
+        keep = pos < self.n
+        if not keep.all():
+            # an unbounded query also overlaps the padding
+            q, pos = q[keep], pos[keep]
+        return q, self.ids[self.order[pos]]
 
 
 def dilate(bbox: np.ndarray, max_distance) -> np.ndarray:

@@ -215,3 +215,23 @@ def test_st_dbscan_splits_temporal_episodes(ray_session, tier_kw):
     assert (labels >= 0).all()
     early, late = set(labels[:20]), set(labels[20:])
     assert len(early) == 1 and len(late) == 1 and early != late
+
+
+@pytest.mark.parametrize("missing", [7, 39], ids=["inner_id", "max_id"])
+@pytest.mark.parametrize("tier_kw", [{}, {"core_broadcast_rows": 0}],
+                         ids=["broadcast", "join"])
+def test_st_dbscan_times_missing_row_id_raises(ray_session, tier_kw, missing):
+    """A point without a timestamp fails loudly, with the same error, on both
+    time-filter tiers, whether its id sits inside the sorted id range or past
+    its end.  The error is raised in a Ray task, which wraps it."""
+    import pyarrow as pa
+    import ray.data
+
+    rng = np.random.default_rng(62)
+    ids = np.arange(40, dtype=np.int64)
+    pts = points_geom(ids, rng.uniform(0, 1, 40), rng.uniform(0, 1, 40))
+    keep = ids != missing
+    times = ray.data.from_arrow(pa.table({
+        "row_id": pa.array(ids[keep]), "t": pa.array(ids[keep] * 10)}))
+    with pytest.raises(Exception, match=f"TimesMissingRowId: times missing row_id {missing}"):
+        dbscan(pts, eps=0.5, min_pts=3, times=times, eps_t=100, **tier_kw).materialize()

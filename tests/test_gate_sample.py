@@ -80,3 +80,17 @@ def test_segment_of_rejects_out_of_range_and_interior_misses(ray_session):
         _segment_of(ref, np.array([3], dtype=np.int64))  # interior miss
     with pytest.raises(KeyError, match="not present"):
         _segment_of(ref, np.array([1], dtype=np.int64))  # below the range
+
+
+def test_readme_registry_counts_match_build_queries():
+    """README's gate-registry line states the counts build_queries() gives."""
+    import pathlib
+    import re
+
+    from rayjoin.pipelines.gate import build_queries
+
+    queries, oracle = build_queries()
+    n_sql = sum(1 for name in queries if oracle.get(name))
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    m = re.search(r"(\d+) gate queries \+ DuckDB oracle SQL \((\d+) SQL-checked\)", readme)
+    assert m and (int(m[1]), int(m[2])) == (len(queries), n_sql)

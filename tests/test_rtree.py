@@ -1,8 +1,13 @@
 """STRtree candidate generation == brute-force inclusive bbox overlap."""
 
+import zlib
+
 import numpy as np
+import pytest
 
 from rayjoin.state.rtree import STRtree, dilate
+
+EMPTY = [np.inf, np.inf, -np.inf, -np.inf]  # bbox of an empty geometry
 
 
 def _rand_boxes(rng, n, scale=100.0):
@@ -11,15 +16,113 @@ def _rand_boxes(rng, n, scale=100.0):
     return np.column_stack([p[:, 0], p[:, 1], p[:, 0] + wh[:, 0], p[:, 1] + wh[:, 1]])
 
 
-def _brute(qbox, ebox):
+def _brute_pairs(qbox, ebox):
     hits = ~(
         (qbox[:, None, 0] > ebox[None, :, 2])
         | (qbox[:, None, 2] < ebox[None, :, 0])
         | (qbox[:, None, 1] > ebox[None, :, 3])
         | (qbox[:, None, 3] < ebox[None, :, 1])
     )
-    q, e = np.nonzero(hits)
+    return np.nonzero(hits)
+
+
+def _brute(qbox, ebox):
+    q, e = _brute_pairs(qbox, ebox)
     return set(zip(q.tolist(), e.tolist()))
+
+
+def _clustered(rng, n):
+    # tight cluster, probed from far away and from its own x-range
+    ebox = _rand_boxes(rng, n, scale=1.0)
+    far = _rand_boxes(rng, 100) + 200.0
+    above = _rand_boxes(rng, 100, scale=1.0)
+    above[:, [1, 3]] += 50.0
+    return ebox, np.concatenate([far, above, ebox[:20]])
+
+
+def _edge_points(rng):
+    # unit-cell grid; point queries on corners, edge midpoints and centers
+    gx, gy = np.meshgrid(np.arange(12.0), np.arange(9.0))
+    ebox = np.column_stack([gx.ravel(), gy.ravel(), gx.ravel() + 1, gy.ravel() + 1])
+    px, py = np.meshgrid(np.arange(-0.5, 14.0, 0.5), np.arange(-0.5, 11.0, 0.5))
+    p = np.column_stack([px.ravel(), py.ravel()])
+    return ebox, np.column_stack([p, p])
+
+
+def _shape(name):
+    """(entry boxes, query boxes, ids) for one adversarial index shape."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    ids = None
+    if name.startswith("n="):
+        n = int(name[2:])
+        ebox, qbox = _rand_boxes(rng, n), _rand_boxes(rng, 400)
+        qbox[:, 2:] += 10.0
+    elif name == "world_entry":
+        ebox = np.vstack([_rand_boxes(rng, 500), [[-1e9, -1e9, 1e9, 1e9]]])
+        qbox = _rand_boxes(rng, 200, scale=150.0) - 25.0
+    elif name == "wide_entries":
+        wide = _rand_boxes(rng, 5)
+        wide[:, 2] = wide[:, 0] + 200.0
+        ebox = np.vstack([_rand_boxes(rng, 300), wide, _rand_boxes(rng, 300)])
+        qbox = _rand_boxes(rng, 300, scale=300.0) - 50.0
+    elif name == "identical":
+        ebox = np.tile([[10.0, 10.0, 20.0, 20.0]], (300, 1))
+        qbox = _rand_boxes(rng, 200, scale=40.0)
+    elif name == "clustered_far":
+        ebox, qbox = _clustered(rng, 500)
+    elif name == "empty_geoms":
+        ebox = _rand_boxes(rng, 400)
+        ebox[rng.choice(400, 40, replace=False)] = EMPTY
+        qbox = _rand_boxes(rng, 200)
+        qbox[rng.choice(200, 20, replace=False)] = EMPTY
+    elif name == "nan_entries":
+        # a NaN side never rejects, so such an entry matches on that axis
+        ebox = _rand_boxes(rng, 400)
+        ebox[rng.choice(400, 30, replace=False), rng.integers(0, 4, 30)] = np.nan
+        ebox[rng.choice(400, 3, replace=False)] = np.nan
+        qbox = _rand_boxes(rng, 200)
+    elif name == "edge_points":
+        ebox, qbox = _edge_points(rng)
+    elif name == "custom_ids":
+        ebox, qbox = _rand_boxes(rng, 333), _rand_boxes(rng, 200)
+        ids = rng.permutation(333) * 7 + 5
+    else:  # many_queries: m > the default probe chunk
+        ebox, qbox = _rand_boxes(rng, 300), _rand_boxes(rng, 20_000)
+    return ebox, qbox, ids
+
+
+# n=1000: 63 leaves in slices of 8 -> the last slice and last leaf partial
+SHAPES = ["n=1", "n=15", "n=16", "n=17", "n=257", "n=1000", "world_entry", "wide_entries",
+          "identical", "clustered_far", "empty_geoms", "nan_entries", "edge_points",
+          "custom_ids", "many_queries"]
+
+
+def _sorted_pairs(q, e):
+    o = np.lexsort((e, q))
+    return q[o].astype(np.int64), e[o].astype(np.int64)
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_query_matches_oracle(name):
+    ebox, qbox, ids = _shape(name)
+    q, e = STRtree(ebox, ids=ids).query(qbox)
+    assert q.dtype == e.dtype == np.int64
+    assert (np.diff(q) >= 0).all()  # the order contract: grouped by query
+    bq, be = _brute_pairs(qbox, ebox)
+    got_q, got_e = _sorted_pairs(q, e)
+    want_q, want_e = _sorted_pairs(bq, be if ids is None else ids[be])
+    assert np.array_equal(got_q, want_q) and np.array_equal(got_e, want_e)
+
+
+def test_unbounded_queries_match_bruteforce():
+    # NaN and infinite query sides never reject (the ~(a > b | ...) form),
+    # and never report the last leaf's padding
+    rng = np.random.default_rng(5)
+    ebox = _rand_boxes(rng, 37)
+    qbox = np.array([[-np.inf, -np.inf, np.inf, np.inf], [np.nan] * 4,
+                     [np.nan, 0.0, np.nan, 50.0], [-np.inf, 20.0, np.inf, 30.0]])
+    q, e = STRtree(ebox).query(qbox)
+    assert set(zip(q.tolist(), e.tolist())) == _brute(qbox, ebox)
 
 
 def test_query_matches_bruteforce():

@@ -1356,7 +1356,7 @@ SELECT grp, CAST(SUM((xb - xa) * clen) AS BIGINT) FROM per GROUP BY grp
 def stress_annrecall(n: int = 2_000_000) -> dict:
     """ANN quality at scale: recall@10 of the IVF path vs the EXACT
     brute-force top-10 (the oracle-checked `ann_cosine` kernel) on 2M
-    64-dim mixture-of-Gaussians vectors, 200 held-out queries, across an
+    64-dim mixture-of-Gaussians vectors, 5,000 held-out queries (``nq``), across an
     nprobe sweep — the measured accuracy/cost curve for the one genuinely
     approximate operator family (VERDICT: `ann_ivf` is intentionally
     non-hash-checked; this pins its quality instead)."""
