@@ -10,17 +10,21 @@ partition-based spatial-merge plan the blueprint calls for (SURVEY.md §7.6):
 2. **Replicate** each geometry to every grid cell its (max_distance-dilated,
    small side only) bbox overlaps — a ``flat_map``-shaped ``map_batches``
    emitting (cell, side, row) rows.
-3. **Co-locate** with one ``groupby(cell)`` shuffle; per cell, build an STR
-   tree on the small rows and probe the big rows with the same vectorized
-   kernels as the broadcast path.
+3. **Co-locate** with one ``sort(cell)`` exchange (Ray's ``map_groups``
+   does the same sort): each output block holds every row of each of its
+   cell keys.  One kernel call per block decodes it once, builds ONE STR
+   tree over its small rows and probes all of its big rows with the same
+   vectorized kernels as the broadcast path; pairs whose two copies carry
+   different cell keys (copies of one small row in the block's other cells
+   or salts) are dropped before refine.
 4. **Duplicate suppression** by the reference-point rule: a pair is emitted
    only by the cell that contains the top-left corner of the intersection of
    the two (dilated) bboxes — so each qualifying pair appears exactly once,
    no post-shuffle dedup pass.
 
 The output row set is EXACTLY the broadcast path's (tested side by side).
-At 100 TB the groupby(cell) is the only all-to-all exchange; hot cells can
-be split by raising ``target_cells`` (finer grid) — cells are independent.
+At 100 TB the sort is the only all-to-all exchange; hot cells can be split
+by raising ``target_cells`` (finer grid) — cells are independent.
 """
 
 from __future__ import annotations
@@ -155,18 +159,9 @@ def _replicate(ds, grid: GridSpec, side: int, dilate_by: float,
     salts = salts or {}
 
     def rep(t: pa.Table) -> pa.Table:
-        geo_t = t.drop_columns([radius_col]) if radius_col else t
-        g = GeomBatch.from_arrow(geo_t)
+        g = GeomBatch.from_arrow(t)
         validate_batch(g)
-        if radius_col:
-            r = np.asarray(t[radius_col].combine_chunks(), dtype=np.float64)
-            bb = g.bbox.copy()
-            bb[:, 0] -= r
-            bb[:, 1] -= r
-            bb[:, 2] += r
-            bb[:, 3] += r
-        else:
-            bb = dilate(g.bbox, dilate_by) if dilate_by else g.bbox
+        bb = dilate(g.bbox, t[radius_col].to_numpy() if radius_col else dilate_by)
         ix0, iy0, ix1, iy1 = grid.cell_range(bb)
         nx = ix1 - ix0 + 1
         ny = iy1 - iy0 + 1
@@ -188,9 +183,7 @@ def _replicate(ds, grid: GridSpec, side: int, dilate_by: float,
                     idx = np.flatnonzero(m)
                     extra_gid = np.repeat(gid[idx], s - 1)
                     extra_cell = np.repeat(cell[idx], s - 1)
-                    extra_salt = np.concatenate(
-                        [np.arange(1, s, dtype=np.int64) for _ in range(idx.size)]
-                    ) if idx.size else np.empty(0, np.int64)
+                    extra_salt = np.tile(np.arange(1, s, dtype=np.int64), idx.size)
                     gid = np.concatenate([gid, extra_gid])
                     cell = np.concatenate([cell, extra_cell])
                     salt = np.concatenate([salt, extra_salt])
@@ -203,89 +196,105 @@ def _replicate(ds, grid: GridSpec, side: int, dilate_by: float,
     return ds.map_batches(rep, batch_format="pyarrow")
 
 
-def _cell_join(grid: GridSpec, config: Config, interaction: Optional[Interaction],
-               mode: str, with_geos: bool = False):
-    """Per-cell build+probe, duplicate-suppressed by the reference-point
-    rule.  Pure-Arrow group bodies: pandas conversion of nested coords
-    columns is python-object soup and dominated the shuffle wall time."""
-    max_d = config.max_distance
+def _block_candidates(t: pa.Table, grid: GridSpec, max_d: float = 0.0,
+                      radius_col: Optional[str] = None):
+    """Owned candidate pairs of one co-located block of ``(cell, side, row)``
+    rows: ``(g, q, s, r)`` with ``g`` the block decoded once, ``q``/``s`` the
+    block positions of each pair's big and small row, and ``r`` each pair's
+    big-row ``radius_col`` value (None without one).  None when the block
+    lacks a side.
 
-    def _geo_fields() -> dict:
-        from ..geom.encode import GEOM_SCHEMA
+    One STR tree over the block's small boxes (dilated by ``max_d``) answers
+    all of its big boxes (dilated per row by ``radius_col``).  A pair is kept
+    only when both copies carry the same full cell key (``cell*1024+salt``)
+    and that cell holds the top-left corner of the two boxes' overlap (the
+    reference-point rule), so each qualifying pair is owned exactly once.
+    The key filter is the price of one tree per block: a big copy also meets
+    the small row's copies in the block's other cells and salts.  For two
+    overlapping rows it sees at most (big copies) x (small copies) candidates
+    where the per-cell join saw at least one; a copy count is the cells a
+    (dilated) box covers, times up to 8 salts on the small side only."""
+    if t.num_rows == 0:
+        return None
+    side = t["side"].to_numpy()
+    si, bi = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+    if si.size == 0 or bi.size == 0:
+        return None
+    key = t["cell"].to_numpy()
+    g = GeomBatch.from_arrow(t)
+    r = t[radius_col].to_numpy()[bi] if radius_col else None
+    sb = dilate(g.bbox[si], max_d)
+    bb = g.bbox[bi] if r is None else dilate(g.bbox[bi], r)
+    q, s = STRtree(sb).query(bb)
+    same = key[bi[q]] == key[si[s]]
+    q, s = q[same], s[same]
+    rx = np.maximum(sb[s, 0], bb[q, 0])
+    ry = np.maximum(sb[s, 1], bb[q, 1])
+    own = grid.cell_of_point(rx, ry) == key[bi[q]] // 1024
+    q, s = q[own], s[own]
+    return g, bi[q], si[s], (None if r is None else r[q])
 
-        empty = GEOM_SCHEMA.empty_table()
-        return {
-            "big_geom_type": empty["geom_type"].combine_chunks(),
-            "big_coords": empty["coords"].combine_chunks(),
-            "small_geom_type": empty["geom_type"].combine_chunks(),
-            "small_coords": empty["coords"].combine_chunks(),
-        }
 
-    def _empty() -> pa.Table:
+def _cell_join(grid: GridSpec, interaction: Optional[Interaction], max_d: float = 0.0,
+               with_geos: bool = False, radius_col: Optional[str] = None):
+    """Kernel for one ``sort("cell")`` output block, which holds every row of
+    each of its cell keys: refine the block's owned candidates with
+    ``interaction``, or, when it is None, keep pairs within ``max_d`` (each
+    big row's ``radius_col`` when given) with their ``distance``.
+    ``with_geos`` clones both geometry payloads into each output row.
+    Pure-Arrow bodies: pandas conversion of nested coords columns is
+    python-object soup."""
+    none = np.empty(0, np.int64)
+
+    def table(src: pa.Table, row_id: np.ndarray, q: np.ndarray, s: np.ndarray,
+              d: Optional[np.ndarray]) -> pa.Table:
         cols = {
-            "big_row_id": pa.array([], pa.int64()),
-            "small_row_id": pa.array([], pa.int64()),
+            "big_row_id": pa.array(row_id[q], pa.int64()),
+            "small_row_id": pa.array(row_id[s], pa.int64()),
         }
-        if mode == "prox":
-            cols["distance"] = pa.array([], pa.float64())
+        if interaction is None:
+            cols["distance"] = pa.array(d, pa.float64())
         if with_geos:
-            cols.update(_geo_fields())
+            for name, idx in (("big", q), ("small", s)):
+                part = src.take(pa.array(idx))
+                cols[f"{name}_geom_type"] = part["geom_type"].combine_chunks()
+                cols[f"{name}_coords"] = part["coords"].combine_chunks()
         return pa.table(cols)
 
-    def _attach(out: pa.Table, big_t: pa.Table, small_t: pa.Table,
-                q: np.ndarray, s: np.ndarray) -> pa.Table:
-        bt = big_t.take(pa.array(q))
-        st = small_t.take(pa.array(s))
-        out = out.append_column("big_geom_type", bt["geom_type"].combine_chunks())
-        out = out.append_column("big_coords", bt["coords"].combine_chunks())
-        out = out.append_column("small_geom_type", st["geom_type"].combine_chunks())
-        return out.append_column("small_coords", st["coords"].combine_chunks())
+    def join_block(t: pa.Table) -> pa.Table:
+        c = _block_candidates(t, grid, max_d, radius_col)
+        if c is None:
+            from ..geom.encode import GEOM_SCHEMA
 
-    def join_cell(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty()
-        cell = int(t["cell"][0].as_py()) // 1024  # strip salt sub-key
-        small_t = t.filter(pa.compute.equal(t["side"], 0)).drop_columns(["cell", "side"])
-        big_t = t.filter(pa.compute.equal(t["side"], 1)).drop_columns(["cell", "side"])
-        if small_t.num_rows == 0 or big_t.num_rows == 0:
-            return _empty()
-        small = GeomBatch.from_arrow(small_t)
-        big = GeomBatch.from_arrow(big_t)
-        tree = STRtree(dilate(small.bbox, max_d))
-        q, s = tree.query(big.bbox)
-        # reference-point duplicate suppression: emit only from the cell
-        # containing the intersection corner of the two (dilated) bboxes
-        sb = dilate(small.bbox, max_d)[s] if max_d else small.bbox[s]
-        rx = np.maximum(sb[:, 0], big.bbox[q][:, 0])
-        ry = np.maximum(sb[:, 1], big.bbox[q][:, 1])
-        own = grid.cell_of_point(rx, ry) == cell
-        q, s = q[own], s[own]
-        if mode == "join":
-            if interaction is Interaction.INTERSECTS:
-                keep = relate("intersects", small, s, big, q)
-            elif interaction is Interaction.CONTAINS:
-                keep = relate("contains", small, s, big, q)
-            else:
-                keep = relate("contains", big, q, small, s)
-            out = pa.table(
-                {
-                    "big_row_id": pa.array(big.row_id[q[keep]], pa.int64()),
-                    "small_row_id": pa.array(small.row_id[s[keep]], pa.int64()),
-                }
-            )
-            return _attach(out, big_t, small_t, q[keep], s[keep]) if with_geos else out
-        d = relate("distance", small, s, big, q)
-        keep = d <= max_d
-        out = pa.table(
-            {
-                "big_row_id": pa.array(big.row_id[q[keep]], pa.int64()),
-                "small_row_id": pa.array(small.row_id[s[keep]], pa.int64()),
-                "distance": pa.array(d[keep], pa.float64()),
-            }
-        )
-        return _attach(out, big_t, small_t, q[keep], s[keep]) if with_geos else out
+            return table(GEOM_SCHEMA.empty_table(), none, none, none, np.empty(0))
+        g, q, s, r = c
+        d = None
+        if interaction is None:
+            d = relate("distance", g, s, g, q)
+            keep = d <= (max_d if r is None else r)
+            d = d[keep]
+        elif interaction is Interaction.INTERSECTS:
+            keep = relate("intersects", g, s, g, q)
+        elif interaction is Interaction.CONTAINS:
+            keep = relate("contains", g, s, g, q)
+        else:
+            keep = relate("contains", g, q, g, s)
+        return table(t, g.row_id, q[keep], s[keep], d)
 
-    return join_cell
+    return join_block
+
+
+def _pbsm(big, small, interaction: Optional[Interaction], config: Config,
+          target_cells: int, seed: int, with_geos: bool):
+    """Plan the grid, replicate both sides, co-locate them with one sort
+    and run the kernel once per shuffled block."""
+    grid = GridSpec.plan(small, big, target_cells, seed=seed, max_distance=config.max_distance)
+    rep = _replicate(small, grid, side=0, dilate_by=config.max_distance,
+                     salts=grid.salts).union(
+        _replicate(big, grid, side=1, dilate_by=0.0, salts=grid.salts)
+    )
+    kernel = _cell_join(grid, interaction, config.max_distance, with_geos)
+    return rep.sort("cell").map_batches(kernel, batch_format="pyarrow", batch_size=None)
 
 
 def partitioned_spatial_join(big, small, interaction: Interaction,
@@ -294,27 +303,13 @@ def partitioned_spatial_join(big, small, interaction: Interaction,
     """Dataset[big_row_id, small_row_id] — same rows as the broadcast path.
     ``with_geos=True`` clones both geometry payloads into each output row
     (the partitioned twin of ``spatial_join_with_geos``)."""
-    grid = GridSpec.plan(small, big, target_cells, seed=seed, max_distance=config.max_distance)
-    rep = _replicate(small, grid, side=0, dilate_by=config.max_distance,
-                     salts=grid.salts).union(
-        _replicate(big, grid, side=1, dilate_by=0.0, salts=grid.salts)
-    )
-    return rep.groupby("cell").map_groups(
-        _cell_join(grid, config, interaction, "join", with_geos), batch_format="pyarrow"
-    )
+    return _pbsm(big, small, interaction, config, target_cells, seed, with_geos)
 
 
 def partitioned_proximity_map(big, small, config: Config, target_cells: int = 256,
                               seed: int = 42, with_geos: bool = False):
     """Dataset[big_row_id, small_row_id, distance] — same rows as broadcast."""
-    grid = GridSpec.plan(small, big, target_cells, seed=seed, max_distance=config.max_distance)
-    rep = _replicate(small, grid, side=0, dilate_by=config.max_distance,
-                     salts=grid.salts).union(
-        _replicate(big, grid, side=1, dilate_by=0.0, salts=grid.salts)
-    )
-    return rep.groupby("cell").map_groups(
-        _cell_join(grid, config, None, "prox", with_geos), batch_format="pyarrow"
-    )
+    return _pbsm(big, small, None, config, target_cells, seed, with_geos)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +370,10 @@ def partitioned_knn_join(big, small, *, k: int, max_distance: float = float("inf
        the small side's extent when the cell holds < k smalls.
 
     B. **Resolve**: bigs replicate to every cell their bound-dilated bbox
-       overlaps (per-row radius); smalls by bbox.  Per cell: STR-tree
-       candidates, exact distances, keep d <= bound, duplicate-suppressed by
-       the reference-point rule; a final groupby(big_row_id) merges
-       per-cell results into the global top-k.
+       overlaps (per-row radius); smalls by bbox.  The same per-block kernel
+       as the join: STR-tree candidates, same-cell and reference-point
+       filters, exact distances, keep d <= bound; a final bucketed merge
+       turns the per-cell results into the global top-k.
 
     Partitioning assumption: per-cell work is bounded by the equi-depth grid
     plan; bigs in regions with < k local smalls fall back to wide bounds and
@@ -451,50 +446,9 @@ def partitioned_knn_join(big, small, *, k: int, max_distance: float = float("inf
         _replicate(bounded, grid, side=1, dilate_by=0.0, radius_col="knn_bound")
     )
 
-    def knn_cell(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "big_row_id": pa.array([], pa.int64()),
-                "small_row_id": pa.array([], pa.int64()),
-                "distance": pa.array([], pa.float64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
-        cell = int(t["cell"][0].as_py()) // 1024
-        small_t = t.filter(pa.compute.equal(t["side"], 0)).drop_columns(
-            ["cell", "side", "knn_bound"]
-        )
-        big_t = t.filter(pa.compute.equal(t["side"], 1))
-        if small_t.num_rows == 0 or big_t.num_rows == 0:
-            return empty
-        bound = np.asarray(big_t["knn_bound"].combine_chunks(), dtype=np.float64)
-        big_g = GeomBatch.from_arrow(big_t.drop_columns(["cell", "side", "knn_bound"]))
-        small_g = GeomBatch.from_arrow(small_t)
-        qb = big_g.bbox.copy()
-        qb[:, 0] -= bound
-        qb[:, 1] -= bound
-        qb[:, 2] += bound
-        qb[:, 3] += bound
-        tree = STRtree(small_g.bbox)
-        q, s = tree.query(qb)
-        d = relate("distance", small_g, s, big_g, q)
-        keep = d <= bound[q]
-        q, s, d = q[keep], s[keep], d[keep]
-        # reference-point dedup against the per-row-dilated big bbox
-        sb = small_g.bbox[s]
-        rx = np.maximum(sb[:, 0], qb[q, 0])
-        ry = np.maximum(sb[:, 1], qb[q, 1])
-        own = grid.cell_of_point(rx, ry) == cell
-        return pa.table(
-            {
-                "big_row_id": pa.array(big_g.row_id[q[own]], pa.int64()),
-                "small_row_id": pa.array(small_g.row_id[s[own]], pa.int64()),
-                "distance": pa.array(d[own], pa.float64()),
-            }
-        )
-
-    cands = rep_b.groupby("cell").map_groups(knn_cell, batch_format="pyarrow")
+    cands = rep_b.sort("cell").map_batches(
+        _cell_join(grid, None, radius_col="knn_bound"), batch_format="pyarrow", batch_size=None
+    )
 
     # final top-k merge: a per-big map_groups would make one Python call
     # PER BIG (measured: 2M bigs -> ~190 s of pure group overhead).  Hash
@@ -524,8 +478,11 @@ def partitioned_knn_join(big, small, *, k: int, max_distance: float = float("inf
             }
         )
 
+    # map_groups emits no block for an empty input: the empty table keeps
+    # the schema when no big row has a small within max_distance
     return (
         cands.map_batches(add_part, batch_format="pyarrow")
         .groupby("part")
         .map_groups(topk_bucket, batch_format="pyarrow")
+        .union(_empty())
     )

@@ -367,3 +367,135 @@ def test_rows_probe_cached_single_execution():
     e2 = ray.get(c2.get.remote())
     assert auto._rows_of(ds2, 7) == 1000
     assert ray.get(c2.get.remote()) == e2
+
+
+def _hot_inputs():
+    """Big side: 60 mixed geometries plus 180 small rects on ONE exact center
+    (an unsplittable hot cell the plan salts); small side: 50 mixed
+    geometries plus 6 rects over the hot spot, so the salted cell has pairs."""
+    from rayjoin.geom.spec import Rect
+
+    rng = np.random.default_rng(29)
+    big = mixed_random(60, seed=71)
+    for _ in range(180):
+        w, h = rng.uniform(0.01, 0.1, 2)
+        big.append(Rect(0.25 - w / 2, 0.25 - h / 2, 0.25 + w / 2, 0.25 + h / 2))
+    small = mixed_random(50, seed=72)
+    for r in rng.uniform(0.02, 0.2, 6):
+        small.append(Rect(0.25 - r, 0.25 - r, 0.25 + r, 0.25 + r))
+    return big, small
+
+
+def _parity_plans(case):
+    """(partitioned, broadcast) Dataset builders for one parity case."""
+    from rayjoin.join.broadcast import SpatialIndex
+    from rayjoin.join.partitioned import (partitioned_knn_join, partitioned_proximity_map,
+                                          partitioned_spatial_join)
+
+    if case in ("intersects", "contains", "within"):
+        inter = Interaction[case.upper()]
+        return (lambda b, s: partitioned_spatial_join(b, s, inter, target_cells=36),
+                lambda t, b: SpatialIndex(t).spatial_join(b, inter))
+    if case == "with_geos":
+        return (lambda b, s: partitioned_spatial_join(b, s, Interaction.INTERSECTS,
+                                                      target_cells=36, with_geos=True),
+                lambda t, b: SpatialIndex(t).spatial_join_with_geos(b, Interaction.INTERSECTS))
+    if case == "prox":
+        # 0.6 dilation spans many of the ~0.3-wide cells of a 36-cell grid
+        cfg = Config(max_distance=0.6)
+        return (lambda b, s: partitioned_proximity_map(b, s, cfg, target_cells=36),
+                lambda t, b: SpatialIndex(t, cfg).proximity_map(b))
+    return (lambda b, s: partitioned_knn_join(b, s, k=3, max_distance=0.8, target_cells=36),
+            lambda t, b: SpatialIndex(t).knn_join(b, k=3, max_distance=0.8))
+
+
+def _tuples(ds):
+    df = ds.to_pandas()
+    return sorted(tuple(str(v) if isinstance(v, np.ndarray) else v for v in r)
+                  for r in df.itertuples(index=False))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_sorted_blocks_colocate_cell_keys():
+    """The per-block kernel's contract: after ``sort("cell")`` every full
+    cell key (cell*1024+salt) lives in exactly one block, salted keys
+    included, so one kernel call sees every row of each of its keys."""
+    import pyarrow as pa
+
+    from rayjoin.join.partitioned import GridSpec, _replicate
+
+    big, small = _hot_inputs()
+    big_ds, small_ds = _ds(big, 16), _ds(small, 8)
+    grid = GridSpec.plan(small_ds, big_ds, target_cells=36)
+    assert grid.salts, "hot spot should be salted"
+    rep = _replicate(small_ds, grid, side=0, dilate_by=0.0, salts=grid.salts).union(
+        _replicate(big_ds, grid, side=1, dilate_by=0.0, salts=grid.salts)
+    ).sort("cell").materialize()
+    assert rep.num_blocks() > 1
+
+    def keys(t: pa.Table) -> pa.Table:
+        u = np.unique(t["cell"].to_numpy())
+        return pa.table({"key": pa.array([u.tolist()], pa.list_(pa.int64()))})
+
+    per_block = [set(k) for k in rep.map_batches(keys, batch_format="pyarrow",
+                                                  batch_size=None).to_pandas()["key"]]
+    assert sum(len(k) for k in per_block) == len(set().union(*per_block))
+    salted = {c * 1024 + s for c, n in grid.salts.items() for s in range(1, n)}
+    assert salted & set().union(*per_block)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("blocks", [1, 8])
+@pytest.mark.parametrize("case", ["intersects", "contains", "within", "prox", "with_geos", "knn"])
+def test_partitioned_matches_broadcast_with_hot_cell(case, blocks):
+    """Per-block kernel parity: every plan of the partitioned join gives the
+    broadcast rows on skewed input with a salted hot cell, from one input
+    block per side and from many."""
+    big, small = _hot_inputs()
+    par, bro = _parity_plans(case)
+    small_t = encode.geoms_to_table(small)
+    got = _tuples(par(_ds(big, blocks), _ds(small, blocks)))
+    exp = _tuples(bro(small_t, _ds(big, blocks)))
+    assert got == exp and len(got) > 0
+    if case != "knn":
+        assert len(got) == len(set(got))  # no pair emitted twice
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("small_side", ["empty", "disjoint"])
+@pytest.mark.parametrize("case", ["intersects", "prox", "with_geos", "knn"])
+def test_partitioned_no_pairs_keeps_schema(case, small_side):
+    """No small row near any big row: zero rows, with the output schema of
+    the non-empty case, on the join, prox and kNN paths."""
+    import ray.data
+
+    from rayjoin.geom.spec import Rect
+
+    big, _ = _hot_inputs()
+    if small_side == "empty":
+        small_ds = ray.data.from_arrow(encode.GEOM_SCHEMA.empty_table())
+    else:
+        small_ds = _ds([Rect(50.0 + i, 50.0, 50.5 + i, 50.5) for i in range(10)], 2)
+    par, _ = _parity_plans(case)
+    out = par(_ds(big, 4), small_ds)
+    cols = ["big_row_id", "small_row_id"]
+    cols += {"prox": ["distance"], "knn": ["distance", "rank"],
+             "with_geos": ["big_geom_type", "big_coords", "small_geom_type", "small_coords"]
+             }.get(case, [])
+    assert out.count() == 0
+    assert out.schema().names == cols
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_partitioned_knn_disjoint_small_side_unbounded():
+    """Far-away small side, no distance cap: every big row still gets its k
+    nearest smalls, the broadcast kNN rows."""
+    from rayjoin.geom.spec import Rect
+    from rayjoin.join.broadcast import SpatialIndex
+    from rayjoin.join.partitioned import partitioned_knn_join
+
+    big, _ = _hot_inputs()
+    far = [Rect(50.0 + i, 50.0, 50.5 + i, 50.5) for i in range(10)]
+    got = _rows(partitioned_knn_join(_ds(big, 4), _ds(far, 2), k=2, target_cells=36))
+    exp = _rows(SpatialIndex(encode.geoms_to_table(far)).knn_join(_ds(big, 4), k=2))
+    assert got == exp and len(got) == 2 * len(big)
