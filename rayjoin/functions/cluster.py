@@ -3,9 +3,9 @@
 DBSCAN (Ester et al., KDD'96) expressed entirely over the engine's existing
 scale primitives — no new shuffle machinery:
 
-  eps-neighborhood edges   -> the PBSM partitioned proximity SELF-join
-                              (sampled grid cells, dilated replication,
-                              hot-cell salting; rayjoin/join/partitioned.py)
+  eps-neighborhood edges   -> the partitioned proximity SELF-join
+                              (sharded broadcast of dilated boxes;
+                              rayjoin/join/partitioned.py)
   degree / core points     -> per-batch Arrow pre-aggregation + ONE groupby
                               (the shuffle carries per-block partial counts,
                               not edges)
@@ -99,9 +99,9 @@ def dbscan(points, *, eps: float, min_pts: int, target_cells: int = 256,
     covering EVERY input point (noise rows carry cluster_id == -1).
 
     ``eps`` is the inclusive neighborhood radius, ``min_pts`` the core
-    threshold (self-inclusive).  ``target_cells`` sizes the PBSM grid of the
-    eps self-join; ``components_method`` forwards to ``dup_clusters``
-    ("auto" | "driver" | "distributed").
+    threshold (self-inclusive).  ``target_cells`` is passed on to the eps
+    self-join, which plans no grid; ``components_method`` forwards to
+    ``dup_clusters`` ("auto" | "driver" | "distributed").
 
     Two physical plans for the membership/label steps, picked by core count
     (the engine's usual broadcast-vs-join tiering):
@@ -114,7 +114,7 @@ def dbscan(points, *, eps: float, min_pts: int, target_cells: int = 256,
     - above the cap: hash joins of the edge list against the core/label
       Datasets (5 shuffles; correct at any size).
 
-    ``metric``: "euclidean" (planar; eps in coordinate units, PBSM
+    ``metric``: "euclidean" (planar; eps in coordinate units, partitioned
     self-join) or "geodesic" (lon/lat points on the R=6371km sphere; eps in
     METERS, pole- and antimeridian-safe grid self-join from
     join/geodesic.py).  Everything downstream of the edge list is shared.

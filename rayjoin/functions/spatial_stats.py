@@ -4,7 +4,7 @@ Local Moran's I (Anselin 1995, "Local indicators of spatial association —
 LISA") expressed over the engine's existing scale primitives, the same way
 DBSCAN is (functions/cluster.py):
 
-  neighbor pairs (binary W, d-band)  -> the PBSM partitioned proximity
+  neighbor pairs (binary W, d-band)  -> the partitioned proximity
                                         SELF-join (rayjoin/join/partitioned.py)
   value lookup for the small side    -> broadcast sorted-array tier under a
                                         row cap (ray.put once, searchsorted in
@@ -199,7 +199,7 @@ def ripley_k(points, *, radii, target_cells: int = 256):
     K estimate itself is |A| * pairs / n^2, derivable downstream; emitting
     the exact integer numerator keeps the SQL twin hash-exact.
 
-    One PBSM proximity SELF-join at max(radii) produces every candidate
+    One partitioned proximity SELF-join at max(radii) produces every candidate
     pair once (with its bit-exact ``distance`` — the same sqrt expression
     the SQL oracle uses, parity established by the prox_points rows); each
     batch then collapses to ONE row per radius (a <=-threshold histogram),

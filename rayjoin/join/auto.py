@@ -2,9 +2,11 @@
 
 - small side under ``broadcast_threshold_rows`` -> broadcast STR index +
   streaming probe (the reference's only mode, fastest when it fits);
-- otherwise -> the PBSM partitioned plan (replicate + groupby(cell) +
-  reference-point dedup), which never materializes either side in one
-  process.
+- otherwise -> the partitioned plan: a sharded broadcast for joins and
+  proximity maps (the small side cut into K STR x-slices sized by these
+  same two caps, each shard indexed in a task, the big side streamed past
+  the shards it meets) and a two-phase grid plan for kNN; neither ever
+  materializes a side in one process.
 
 Both plans produce the identical row set (tested), so the switch is purely
 physical — the 100 TB pipeline calls these entry points and lets the
@@ -169,11 +171,12 @@ def spatial_anti_join(big, small, interaction: Interaction,
 
     Plan — subtract the matching join, never re-scan with NOT EXISTS: the
     positive join runs through the normal dispatch (broadcast index or
-    PBSM by small-side size), per-batch partials collapse its pair bag to
-    distinct matched ids, the big side contributes one zero-count row per
-    row_id (a column-pruned scan), and ONE groupby keeps ids whose match
-    count stayed zero.  Matched-pair volume never lands on the driver and
-    the anti set is exact even when a big row matches in many cells.
+    sharded broadcast by small-side size), per-batch partials collapse its
+    pair bag to distinct matched ids, the big side contributes one
+    zero-count row per row_id (a column-pruned scan), and ONE groupby keeps
+    ids whose match count stayed zero.  Matched-pair volume never lands on
+    the driver and the anti set is exact even when a big row matches in
+    many shards.
     """
     import numpy as np
     import pyarrow as pa

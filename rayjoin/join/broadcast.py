@@ -10,8 +10,9 @@ backpressure — no shuffle at all.
 
 This is the fast path whenever the indexed side fits in the object store
 (the reference has no other mode: its index always holds the whole small
-side in memory, /root/reference/src/lib.rs:196-203).  For two large sides
-use ``rayjoin.join.partitioned``.
+side in memory, src/lib.rs:196-203).  For a small side too
+big for one index use ``rayjoin.join.partitioned``, whose sharded plan
+reuses this module's probe body (``probe_fn``).
 """
 
 from __future__ import annotations
@@ -42,6 +43,25 @@ def _empty_geom_table() -> pa.Table:
     return GEOM_SCHEMA.empty_table()
 
 
+def _empty_result(mode: str, with_geos: bool = False) -> pa.Table:
+    """Zero-row output table of one probe mode."""
+    schema = {"join": JOIN_SCHEMA, "prox": PROX_SCHEMA, "knn": KNN_SCHEMA}[mode]
+    if with_geos:
+        from ..geom.encode import GEOM_SCHEMA
+
+        for side in ("big", "small"):
+            for col in ("geom_type", "coords"):
+                schema = schema.append(pa.field(f"{side}_{col}", GEOM_SCHEMA.field(col).type))
+    return schema.empty_table()
+
+
+def concat_blocks(tables) -> pa.Table:
+    """One table from a side's blocks; zero-row and schema-less blocks add
+    nothing."""
+    tables = [t for t in tables if t.num_rows] or [t for t in tables if t.num_columns]
+    return pa.concat_tables(tables) if tables else _empty_geom_table()
+
+
 def _to_table(small) -> pa.Table:
     if isinstance(small, (list, tuple)):  # spec geometry sequence (reference style)
         from ..geom.encode import geoms_to_table
@@ -50,10 +70,7 @@ def _to_table(small) -> pa.Table:
     if isinstance(small, pa.Table):
         return small if small.num_rows or small.num_columns else _empty_geom_table()
     if hasattr(small, "to_arrow_refs"):  # ray.data.Dataset
-        refs = small.to_arrow_refs()
-        tables = ray.get(refs)
-        tables = [t for t in tables if t.num_rows] or [t for t in tables if t.num_columns]
-        return pa.concat_tables(tables) if tables else _empty_geom_table()
+        return concat_blocks(ray.get(small.to_arrow_refs()))
     raise TypeError(type(small))
 
 
@@ -104,10 +121,14 @@ def build_index(small, config: Config = Config(), keep_table: bool = True,
     return ray.put(BroadcastIndex(small, config, keep_table, radius_col))
 
 
-def _candidates(index: BroadcastIndex, big: GeomBatch):
+def _candidates(index: BroadcastIndex, big: GeomBatch, rows: np.ndarray | None = None):
     """(big_pos, small_pos) candidate positions via inclusive bbox overlap;
-    big envelopes are NOT dilated (/root/reference/src/index.rs:143-221)."""
-    return index.tree.query(big.bbox)
+    big envelopes are NOT dilated (the reference's src/index.rs:143-221).
+    ``rows`` limits the probe to those big positions (all when None)."""
+    if rows is None:
+        return index.tree.query(big.bbox)
+    q, s = index.tree.query(big.bbox[rows])
+    return rows[q], s
 
 
 def _attach_geos(out: pa.Table, index: BroadcastIndex, s_pos: np.ndarray,
@@ -125,8 +146,9 @@ def _attach_geos(out: pa.Table, index: BroadcastIndex, s_pos: np.ndarray,
 
 
 def _probe_join(index: BroadcastIndex, big: GeomBatch, interaction: Interaction,
-                big_table: pa.Table = None, with_geos: bool = False) -> pa.Table:
-    q, s = _candidates(index, big)
+                big_table: pa.Table = None, with_geos: bool = False,
+                rows: np.ndarray | None = None) -> pa.Table:
+    q, s = _candidates(index, big, rows)
     if interaction is Interaction.INTERSECTS:
         keep = relate("intersects", index.batch, s, big, q)
     elif interaction is Interaction.CONTAINS:
@@ -145,8 +167,8 @@ def _probe_join(index: BroadcastIndex, big: GeomBatch, interaction: Interaction,
 
 
 def _probe_prox(index: BroadcastIndex, big: GeomBatch, big_table: pa.Table = None,
-                with_geos: bool = False) -> pa.Table:
-    q, s = _candidates(index, big)
+                with_geos: bool = False, rows: np.ndarray | None = None) -> pa.Table:
+    q, s = _candidates(index, big, rows)
     d = relate("distance", index.batch, s, big, q)
     if not np.isfinite(d).all():
         raise AssertionError("non-finite distance")  # index.rs:436 assert
@@ -284,25 +306,47 @@ def _get_index(index_ref) -> BroadcastIndex:
     return idx
 
 
-def _run_probe(index: BroadcastIndex, batch: pa.Table, mode: str,
+def _run_probe(index: BroadcastIndex, big: GeomBatch, batch: pa.Table, mode: str,
                interaction: Optional[Interaction], k: int, max_distance: float,
-               with_geos: bool = False) -> pa.Table:
-    big = GeomBatch.from_arrow(batch)
-    validate_batch(big)
+               with_geos: bool = False, rows: np.ndarray | None = None) -> pa.Table:
     if mode == "join":
-        return _probe_join(index, big, interaction, batch, with_geos)
+        return _probe_join(index, big, interaction, batch, with_geos, rows)
     if mode == "prox":
-        return _probe_prox(index, big, batch, with_geos)
+        return _probe_prox(index, big, batch, with_geos, rows)
     if mode == "knn":
         return _probe_knn(index, big, k, max_distance)
     raise ValueError(mode)
 
 
-def probe_fn(batch: pa.Table, *, index_ref, mode: str, interaction=None, k: int = 0,
+def _decode(batch: pa.Table) -> GeomBatch:
+    big = GeomBatch.from_arrow(batch)
+    validate_batch(big)
+    return big
+
+
+def probe_fn(batch: pa.Table, *, shards, mode: str, interaction=None, k: int = 0,
              max_distance: float = float("inf"), with_geos: bool = False) -> pa.Table:
-    """Stateless probe task body (default execution mode)."""
-    return _run_probe(_get_index(index_ref), batch, mode, interaction, k, max_distance,
-                      with_geos)
+    """Stateless probe task body (default execution mode), shared by the
+    broadcast and the sharded plan.  ``shards`` is a tuple of ``(index_ref,
+    extent)``.  One shard probes every row of the batch.  Several shards
+    (join and prox only) each probe just the rows whose bbox meets the
+    shard's dilated tree ``extent`` (``(xmin, ymin, xmax, ymax)``), with the
+    worker's cached shard visited first, so each shard is fetched at most
+    once per batch and one is resident at a time."""
+    big = _decode(batch)
+    if len(shards) == 1:
+        return _run_probe(_get_index(shards[0][0]), big, batch, mode, interaction, k,
+                          max_distance, with_geos)
+    bb = big.bbox
+    outs = []
+    for ref, (x0, y0, x1, y1) in sorted(shards, key=lambda sh: sh[0].hex() not in _INDEX_CACHE):
+        # NaN never rejects, as in the tree's own box test
+        rows = np.flatnonzero(~((bb[:, 0] > x1) | (bb[:, 2] < x0)
+                                | (bb[:, 1] > y1) | (bb[:, 3] < y0)))
+        if rows.size:
+            outs.append(_run_probe(_get_index(ref), big, batch, mode, interaction, k,
+                                   max_distance, with_geos, rows))
+    return pa.concat_tables(outs) if outs else _empty_result(mode, with_geos)
 
 
 class ProbeActor:
@@ -321,8 +365,8 @@ class ProbeActor:
         self.with_geos = with_geos
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return _run_probe(self.index, batch, self.mode, self.interaction, self.k,
-                          self.max_distance, self.with_geos)
+        return _run_probe(self.index, _decode(batch), batch, self.mode, self.interaction,
+                          self.k, self.max_distance, self.with_geos)
 
 
 class SpatialIndex:
@@ -340,10 +384,17 @@ class SpatialIndex:
         self.index_ref = build_index(small, config, keep_table, radius_col)
 
     def _probe(self, big, **kwargs):
-        if isinstance(big, (list, tuple, pa.Table)):
-            import ray.data
+        import ray.data
 
+        from ..util import meta_row_count
+
+        if isinstance(big, (list, tuple, pa.Table)):
             big = ray.data.from_arrow(_to_table(big))
+        if meta_row_count(big) == 0:
+            # no probe block would carry the output schema; a big side that
+            # is empty only once executed still yields a schema-less result
+            return ray.data.from_arrow(_empty_result(kwargs["mode"],
+                                                     kwargs.get("with_geos", False)))
         if self.use_actors:
             return big.map_batches(
                 ProbeActor,
@@ -355,7 +406,7 @@ class SpatialIndex:
             )
         return big.map_batches(
             probe_fn,
-            fn_kwargs={"index_ref": self.index_ref, **kwargs},
+            fn_kwargs={"shards": ((self.index_ref, None),), **kwargs},
             batch_format="pyarrow",
             batch_size=self.batch_size,
             num_cpus=1,

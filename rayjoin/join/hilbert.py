@@ -2,7 +2,7 @@
 "a sampled Hilbert-curve range partitioner drives a groupby-shuffle that
 co-locates candidate geometry pairs".
 
-Alternative physical plan to the equi-depth grid PBSM
+Alternative physical plan to the sharded broadcast
 (``rayjoin.join.partitioned``) producing the IDENTICAL row set:
 
 1. **Plan**: sample both sides' bbox centers (seeded), map to tiles at
@@ -24,7 +24,7 @@ Hilbert ranges keep 2-D locality (a range is a compact curve segment), so
 per-range candidate density tracks spatial density — the property the north
 star names.  Geometries outside the lat/lon domain clamp to edge tiles
 consistently on both sides (correct, but degenerate for co-location; use
-the grid PBSM for non-geographic planes).
+the sharded broadcast for non-geographic planes).
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def hilbert_spatial_join(big, small, interaction: Interaction,
                          config: Config = Config(), num_ranges: int = 64,
                          resolution: int = 8, seed: int = 42):
     """Dataset[big_row_id, small_row_id] — identical row set to the
-    broadcast and grid-PBSM paths (tested side by side)."""
+    broadcast and sharded paths (tested side by side)."""
     spec = HilbertSpec.plan(small, big, num_ranges, resolution, seed=seed)
     max_d = config.max_distance
     rep = _replicate_ranges(small, spec, side=0, dilate_by=max_d).union(

@@ -1,30 +1,36 @@
-"""Partitioned spatial join (PBSM-style) — the two-large-sides scale path.
+"""Partitioned spatial joins: the plans for a small side too big to
+broadcast whole.
 
-When neither side fits in the object store, the broadcast index
-(rayjoin.join.broadcast) stops working; this module implements the classic
-partition-based spatial-merge plan the blueprint calls for (SURVEY.md §7.6):
+**Join and proximity map: sharded broadcast.**  The reference indexes the
+small side once and probes every big geometry against it
+(the reference's src/lib.rs:196-203); the no-partition join wins whenever
+its build side fits (*To Partition, or Not to Partition*, SIGMOD 2021).
+When one index would not fit, the small side is cut into K shards and only
+the small side ever moves:
 
-1. **Sample** both sides' bboxes (seeded) to pick a grid resolution whose
-   expected per-cell candidate count is bounded (skew-aware: the driver
-   samples, not full data).
-2. **Replicate** each geometry to every grid cell its (max_distance-dilated,
-   small side only) bbox overlaps — a ``flat_map``-shaped ``map_batches``
-   emitting (cell, side, row) rows.
-3. **Co-locate** with one ``sort(cell)`` exchange (Ray's ``map_groups``
-   does the same sort): each output block holds every row of each of its
-   cell keys.  One kernel call per block decodes it once, builds ONE STR
-   tree over its small rows and probes all of its big rows with the same
-   vectorized kernels as the broadcast path; pairs whose two copies carry
-   different cell keys (copies of one small row in the block's other cells
-   or salts) are dropped before refine.
-4. **Duplicate suppression** by the reference-point rule: a pair is emitted
-   only by the cell that contains the top-left corner of the intersection of
-   the two (dilated) bboxes — so each qualifying pair appears exactly once,
-   no post-shuffle dedup pass.
+1. **Shard count.** The small side is materialized; its metadata gives
+   exact rows and bytes, and ``K = max(1, ceil(rows / DEFAULT_BROADCAST_ROWS),
+   ceil(bytes / DEFAULT_BROADCAST_BYTES))`` (``rayjoin.join.auto``).  For
+   K > 1 the shards are STR x-slices cut at quantiles of sampled bbox-center
+   x; each small row goes to exactly one shard, so there is no replication,
+   no reference-point rule and no deduplication.
+2. **Build in tasks.** One Ray task per shard builds a ``BroadcastIndex``
+   (boxes dilated by ``max_distance``); its return value is the
+   object-store copy.  The driver holds only K refs and K dilated tree
+   extents, never a small-side table.
+3. **Probe.** The big side streams through ``map_batches`` over whole
+   blocks with the broadcast probe body (``broadcast.probe_fn``): decode and
+   validate a block once, then probe each shard whose extent meets it with
+   just the rows that meet that extent, the worker's cached shard first.
+   Per-worker memory is one resident shard.  With K = 1 this is the
+   broadcast probe, with no row routing.
 
 The output row set is EXACTLY the broadcast path's (tested side by side).
-At 100 TB the sort is the only all-to-all exchange; hot cells can be split
-by raising ``target_cells`` (finer grid) — cells are independent.
+
+**kNN: two-phase grid plan** (``partitioned_knn_join``).  An equi-depth
+sampled grid (``GridSpec``) bounds each big row's kth-neighbour distance per
+cell, then a ``sort("cell")`` exchange co-locates replicated rows for the
+exact resolve.
 """
 
 from __future__ import annotations
@@ -35,13 +41,18 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
+import ray.data
 
 from ..config import Config, Interaction
 from ..geom.batch import GeomBatch
-from ..geom.relates import relate
-from ..state.rtree import STRtree, dilate
-from ..stages.validate import validate_batch
 from ..geom.primitives import repeat_expand
+from ..geom.relates import relate
+from ..stages.validate import validate_batch
+from ..state.rtree import STRtree, dilate
+from ..util import meta_row_count, meta_size_bytes
+from . import auto
+from .broadcast import PROX_SCHEMA, BroadcastIndex, _empty_result, concat_blocks, probe_fn
 
 
 def _sample_extent(ds, frac: float = 0.1, seed: int = 42, cap: int = 1_000_000):
@@ -78,20 +89,19 @@ def _sample_extent(ds, frac: float = 0.1, seed: int = 42, cap: int = 1_000_000):
 
 
 class GridSpec:
-    """Skew-aware grid: cell boundaries are *equi-depth quantiles* of the
-    sampled bbox centers (not uniform widths), so hot regions get
-    proportionally more, smaller cells and the per-cell candidate load stays
-    balanced (the explicit skew handling the north rule requires — a uniform
-    grid over a clustered corpus puts most pairs in a few cells).
-    Cell ids are row-major over the boundary arrays."""
+    """Skew-aware grid of the partitioned kNN: cell boundaries are
+    *equi-depth quantiles* of the sampled bbox centers (not uniform widths),
+    so hot regions get proportionally more, smaller cells and the per-cell
+    candidate load stays balanced.  Cell ids are row-major over the boundary
+    arrays."""
 
     def __init__(self, bx: np.ndarray, by: np.ndarray):
         self.bx = np.asarray(bx, dtype=np.float64)  # nx+1 ascending
         self.by = np.asarray(by, dtype=np.float64)
         self.nx = self.bx.size - 1
         self.ny = self.by.size - 1
-        self.salts: dict = {}  # cell -> number of sub-partitions (hot cells)
-        self.empty = False  # planned from two empty sides
+        # no plan salts hot cells; kept empty for readers of the attribute
+        self.salts: dict = {}
 
     def _ix(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.searchsorted(self.bx, x, side="right") - 1, 0, self.nx - 1)
@@ -108,18 +118,14 @@ class GridSpec:
 
     @staticmethod
     def plan(small_ds, big_ds, target_cells: int = 256, sample_frac: float = 0.2,
-             seed: int = 42, max_distance: float = 0.0) -> "GridSpec":
+             seed: int = 42) -> "GridSpec":
         a = _sample_extent(small_ds, sample_frac, seed)
         b = _sample_extent(big_ds, sample_frac, seed + 1)
         df = pd.concat([a, b], ignore_index=True)
         if df.empty:  # both sides empty: one cell
-            grid = GridSpec([0.0, 1.0], [0.0, 1.0])
-            grid.empty = True
-            return grid
-        x0 = df["xmin"].min() - max_distance
-        y0 = df["ymin"].min() - max_distance
-        x1 = df["xmax"].max() + max_distance
-        y1 = df["ymax"].max() + max_distance
+            return GridSpec([0.0, 1.0], [0.0, 1.0])
+        x0, y0 = df["xmin"].min(), df["ymin"].min()
+        x1, y1 = df["xmax"].max(), df["ymax"].max()
         n = max(int(math.sqrt(target_cells)), 1)
         pad = max((x1 - x0), (y1 - y0), 1.0) * 1e-9
         cx = ((df["xmin"] + df["xmax"]) * 0.5).to_numpy()
@@ -129,39 +135,15 @@ class GridSpec:
         qs = np.linspace(0.0, 1.0, n + 1)[1:-1]
         bx = np.unique(np.concatenate([[x0 - pad], np.quantile(cx, qs), [x1 + pad]]))
         by = np.unique(np.concatenate([[y0 - pad], np.quantile(cy, qs), [y1 + pad]]))
-        grid = GridSpec(bx, by)
-        # hot-cell salts from the same sample: cells holding > 4x the mean
-        # sampled occupancy get S sub-partitions (big side hashed across S,
-        # small side replicated to all S).  S capped at 8 (< the 1024 salt
-        # field in the encoded cell key).
-        cells = grid.cell_of_point(cx, cy)
-        counts = np.bincount(cells, minlength=grid.nx * grid.ny)
-        # threshold against the TARGET occupancy (total / target_cells):
-        # coincident centers collapse quantile boundaries, so the realized
-        # grid can be much coarser than requested — exactly the case where
-        # sub-cell salting has to take over from boundary splitting
-        target_occ = max(cx.size / max(target_cells, 1), 1.0)
-        hot = np.flatnonzero(counts > 4 * target_occ)
-        grid.salts = {
-            int(c): int(min(8, math.ceil(counts[c] / (2 * target_occ)))) for c in hot
-            if min(8, math.ceil(counts[c] / (2 * target_occ))) > 1
-        }
-        return grid
+        return GridSpec(bx, by)
 
 
 def _replicate(ds, grid: GridSpec, side: int, dilate_by: float,
-               salts: Optional[dict] = None, radius_col: Optional[str] = None):
-    """Emit one row per (geometry, overlapped cell).
+               radius_col: Optional[str] = None):
+    """Emit one row per (geometry, overlapped cell), keyed by ``cell``.
 
     ``radius_col`` names a per-row dilation column (the partitioned-kNN
-    phase-B bound) applied instead of the scalar ``dilate_by``.
-
-    Hot-cell salting (north_rule): cells listed in ``salts`` (cell -> S) are
-    split into S sub-partitions.  Each BIG row lands in exactly one salt
-    (hash of its row_id), the SMALL side is replicated to every salt — pair
-    co-location and the reference-point ownership rule are untouched, each
-    qualifying pair still appears exactly once."""
-    salts = salts or {}
+    phase-B bound) applied instead of the scalar ``dilate_by``."""
 
     def rep(t: pa.Table) -> pa.Table:
         g = GeomBatch.from_arrow(t)
@@ -170,157 +152,90 @@ def _replicate(ds, grid: GridSpec, side: int, dilate_by: float,
         ix0, iy0, ix1, iy1 = grid.cell_range(bb)
         nx = ix1 - ix0 + 1
         ny = iy1 - iy0 + 1
-        counts = nx * ny
-        gid, k = repeat_expand(counts)
-        cx = ix0[gid] + k % nx[gid]
-        cy = iy0[gid] + k // nx[gid]
-        cell = cy * grid.nx + cx
-        salt = np.zeros(gid.size, dtype=np.int64)
-        if salts:
-            row_ids = g.row_id[gid]
-            for hot_cell, s in salts.items():
-                m = cell == hot_cell
-                if not m.any():
-                    continue
-                if side == 1:  # big: one deterministic salt per row
-                    salt[m] = (row_ids[m] * 2654435761) % s
-                else:  # small: replicate to every salt
-                    idx = np.flatnonzero(m)
-                    extra_gid = np.repeat(gid[idx], s - 1)
-                    extra_cell = np.repeat(cell[idx], s - 1)
-                    extra_salt = np.tile(np.arange(1, s, dtype=np.int64), idx.size)
-                    gid = np.concatenate([gid, extra_gid])
-                    cell = np.concatenate([cell, extra_cell])
-                    salt = np.concatenate([salt, extra_salt])
+        gid, k = repeat_expand(nx * ny)
+        cell = (iy0[gid] + k // nx[gid]) * grid.nx + ix0[gid] + k % nx[gid]
         taken = t.take(pa.array(gid))
         return (
-            taken.append_column("cell", pa.array(cell * 1024 + salt, pa.int64()))
+            taken.append_column("cell", pa.array(cell, pa.int64()))
             .append_column("side", pa.array(np.full(gid.size, side, np.int8), pa.int8()))
         )
 
     return ds.map_batches(rep, batch_format="pyarrow")
 
 
-def _block_candidates(t: pa.Table, grid: GridSpec, max_d: float = 0.0,
-                      radius_col: Optional[str] = None):
-    """Owned candidate pairs of one co-located block of ``(cell, side, row)``
-    rows: ``(g, q, s, r)`` with ``g`` the block decoded once, ``q``/``s`` the
-    block positions of each pair's big and small row, and ``r`` each pair's
-    big-row ``radius_col`` value (None without one).  None when the block
-    lacks a side.
+# ---------------------------------------------------------------------------
+# join and proximity map: sharded broadcast
+# ---------------------------------------------------------------------------
 
-    One STR tree over the block's small boxes (dilated by ``max_d``) answers
-    all of its big boxes (dilated per row by ``radius_col``).  A pair is kept
-    only when both copies carry the same full cell key (``cell*1024+salt``)
-    and that cell holds the top-left corner of the two boxes' overlap (the
-    reference-point rule), so each qualifying pair is owned exactly once.
-    The key filter is the price of one tree per block: a big copy also meets
-    the small row's copies in the block's other cells and salts.  For two
-    overlapping rows it sees at most (big copies) x (small copies) candidates
-    where the per-cell join saw at least one; a copy count is the cells a
-    (dilated) box covers, times up to 8 salts on the small side only."""
-    if t.num_rows == 0:
-        return None
-    side = t["side"].to_numpy()
-    si, bi = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
-    if si.size == 0 or bi.size == 0:
-        return None
-    key = t["cell"].to_numpy()
-    g = GeomBatch.from_arrow(t)
-    r = t[radius_col].to_numpy()[bi] if radius_col else None
-    sb = dilate(g.bbox[si], max_d)
-    bb = g.bbox[bi] if r is None else dilate(g.bbox[bi], r)
-    q, s = STRtree(sb).query(bb)
-    same = key[bi[q]] == key[si[s]]
-    q, s = q[same], s[same]
-    rx = np.maximum(sb[s, 0], bb[q, 0])
-    ry = np.maximum(sb[s, 1], bb[q, 1])
-    own = grid.cell_of_point(rx, ry) == key[bi[q]] // 1024
-    q, s = q[own], s[own]
-    return g, bi[q], si[s], (None if r is None else r[q])
+# sampled small rows behind the shard cuts: quantiles of 100k centers put
+# each cut within a fraction of a percent of its target rank
+_SHARD_SAMPLE = 100_000
 
 
-def _cell_join(grid: GridSpec, interaction: Optional[Interaction], max_d: float = 0.0,
-               with_geos: bool = False, radius_col: Optional[str] = None):
-    """Kernel for one ``sort("cell")`` output block, which holds every row of
-    each of its cell keys: refine the block's owned candidates with
-    ``interaction``, or, when it is None, keep pairs within ``max_d`` (each
-    big row's ``radius_col`` when given) with their ``distance``.
-    ``with_geos`` clones both geometry payloads into each output row.
-    Pure-Arrow bodies: pandas conversion of nested coords columns is
-    python-object soup."""
-    none = np.empty(0, np.int64)
-
-    def table(src: pa.Table, row_id: np.ndarray, q: np.ndarray, s: np.ndarray,
-              d: Optional[np.ndarray]) -> pa.Table:
-        cols = {
-            "big_row_id": pa.array(row_id[q], pa.int64()),
-            "small_row_id": pa.array(row_id[s], pa.int64()),
-        }
-        if interaction is None:
-            cols["distance"] = pa.array(d, pa.float64())
-        if with_geos:
-            for name, idx in (("big", q), ("small", s)):
-                part = src.take(pa.array(idx))
-                cols[f"{name}_geom_type"] = part["geom_type"].combine_chunks()
-                cols[f"{name}_coords"] = part["coords"].combine_chunks()
-        return pa.table(cols)
-
-    def join_block(t: pa.Table) -> pa.Table:
-        c = _block_candidates(t, grid, max_d, radius_col)
-        if c is None:
-            from ..geom.encode import GEOM_SCHEMA
-
-            return table(GEOM_SCHEMA.empty_table(), none, none, none, np.empty(0))
-        g, q, s, r = c
-        d = None
-        if interaction is None:
-            d = relate("distance", g, s, g, q)
-            keep = d <= (max_d if r is None else r)
-            d = d[keep]
-        elif interaction is Interaction.INTERSECTS:
-            keep = relate("intersects", g, s, g, q)
-        elif interaction is Interaction.CONTAINS:
-            keep = relate("contains", g, s, g, q)
-        else:
-            keep = relate("contains", g, q, g, s)
-        return table(t, g.row_id, q[keep], s[keep], d)
-
-    return join_block
+def _shard_of(t: pa.Table, cuts: np.ndarray) -> np.ndarray:
+    """Shard of each row: its x-slice by bbox-center x."""
+    bb = GeomBatch.from_arrow(t).bbox
+    return np.searchsorted(cuts, (bb[:, 0] + bb[:, 2]) * 0.5, side="right")
 
 
-def _pbsm(big, small, interaction: Optional[Interaction], config: Config,
-          target_cells: int, seed: int, with_geos: bool):
-    """Plan the grid, replicate both sides, co-locate them with one sort
-    and run the kernel once per shuffled block."""
-    grid = GridSpec.plan(small, big, target_cells, seed=seed, max_distance=config.max_distance)
-    kernel = _cell_join(grid, interaction, config.max_distance, with_geos)
-    if grid.empty:
-        # no block would reach the kernel; its zero-row table keeps the schema
-        import ray.data
-        from ..geom.encode import GEOM_SCHEMA
+@ray.remote(num_returns=2)
+def _build_shard(config: Config, keep_table: bool, cuts: Optional[np.ndarray], shard: int,
+                 *blocks: pa.Table):
+    """Build task of one shard: the ``BroadcastIndex`` over the small rows of
+    x-slice ``shard`` (every row when ``cuts`` is None), and its dilated tree
+    extent (None for an empty shard)."""
+    if cuts is not None:
+        blocks = [t.filter(pa.array(_shard_of(t, cuts) == shard)) for t in blocks if t.num_rows]
+    index = BroadcastIndex(concat_blocks(blocks), config, keep_table)
+    return index, (tuple(map(float, index.tree.root)) if index.batch.n else None)
 
-        return ray.data.from_arrow(kernel(GEOM_SCHEMA.empty_table()))
-    rep = _replicate(small, grid, side=0, dilate_by=config.max_distance,
-                     salts=grid.salts).union(
-        _replicate(big, grid, side=1, dilate_by=0.0, salts=grid.salts)
-    )
-    return rep.sort("cell").map_batches(kernel, batch_format="pyarrow", batch_size=None)
+
+def _sharded(big, small, mode: str, interaction: Optional[Interaction], config: Config,
+             seed: int, with_geos: bool):
+    """Build the small side's shards in tasks and stream the big side's
+    whole blocks through the shared probe body."""
+    if meta_row_count(big) == 0:
+        return ray.data.from_arrow(_empty_result(mode, with_geos))
+    small = small.materialize()
+    k = max(1, math.ceil((meta_row_count(small) or 0) / auto.DEFAULT_BROADCAST_ROWS),
+            math.ceil((meta_size_bytes(small) or 0) / auto.DEFAULT_BROADCAST_BYTES))
+    cuts = None
+    if k > 1:
+        df = _sample_extent(small, 1.0, seed, _SHARD_SAMPLE)
+        cx = ((df["xmin"] + df["xmax"]) * 0.5).to_numpy()
+        cuts = np.unique(np.quantile(cx, np.linspace(0.0, 1.0, k + 1)[1:-1]))
+    blocks = small.to_arrow_refs()
+    built = [_build_shard.remote(config, with_geos, cuts, i, *blocks)
+             for i in range(1 if cuts is None else cuts.size + 1)]
+    if cuts is None:
+        shards = ((built[0][0], None),)
+    else:
+        extents = ray.get([ext for _, ext in built])
+        shards = tuple((ref, ext) for (ref, _), ext in zip(built, extents) if ext is not None)
+    return big.map_batches(
+        probe_fn, batch_format="pyarrow", batch_size=None,
+        fn_kwargs={"shards": shards, "mode": mode, "interaction": interaction,
+                   "with_geos": with_geos})
 
 
 def partitioned_spatial_join(big, small, interaction: Interaction,
                              config: Config = Config(), target_cells: int = 256,
                              seed: int = 42, with_geos: bool = False):
-    """Dataset[big_row_id, small_row_id] — same rows as the broadcast path.
-    ``with_geos=True`` clones both geometry payloads into each output row
-    (the partitioned twin of ``spatial_join_with_geos``)."""
-    return _pbsm(big, small, interaction, config, target_cells, seed, with_geos)
+    """Dataset[big_row_id, small_row_id] — same rows as the broadcast path,
+    through the sharded broadcast plan.  ``with_geos=True`` clones both
+    geometry payloads into each output row (the partitioned twin of
+    ``spatial_join_with_geos``).  ``target_cells`` shapes only the kNN grid
+    and is accepted here for callers that pass it; ``seed`` seeds the shard
+    sample."""
+    return _sharded(big, small, "join", interaction, config, seed, with_geos)
 
 
 def partitioned_proximity_map(big, small, config: Config, target_cells: int = 256,
                               seed: int = 42, with_geos: bool = False):
-    """Dataset[big_row_id, small_row_id, distance] — same rows as broadcast."""
-    return _pbsm(big, small, None, config, target_cells, seed, with_geos)
+    """Dataset[big_row_id, small_row_id, distance] — same rows as broadcast,
+    through the sharded broadcast plan (``target_cells`` as in
+    ``partitioned_spatial_join``)."""
+    return _sharded(big, small, "prox", None, config, seed, with_geos)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +279,46 @@ def _corner_bound(fv: np.ndarray, ext) -> np.ndarray:
     return out
 
 
+def _cell_join(grid: GridSpec, radius_col: str):
+    """kNN phase B's distance kernel for one ``sort("cell")`` output block,
+    which holds every row of each of its cell keys: keep the pairs within
+    each big row's ``radius_col`` bound, with their ``distance``.
+
+    One STR tree over the block's small boxes answers all of its big boxes
+    (dilated per row by ``radius_col``).  A pair is kept only when both
+    copies carry the same cell key and that cell holds the top-left corner
+    of the two boxes' overlap (the reference-point rule), so each pair is
+    owned exactly once.  The key filter is the price of one tree per block:
+    a big copy also meets the small row's copies in the block's other
+    cells.  Pure-Arrow body: pandas conversion of nested coords columns is
+    python-object soup."""
+
+    def join_block(t: pa.Table) -> pa.Table:
+        side = t["side"].to_numpy() if t.num_rows else np.empty(0, np.int8)
+        si, bi = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+        if si.size == 0 or bi.size == 0:
+            return PROX_SCHEMA.empty_table()
+        key = t["cell"].to_numpy()
+        g = GeomBatch.from_arrow(t)
+        r = t[radius_col].to_numpy()[bi]
+        sb = g.bbox[si]
+        bb = dilate(g.bbox[bi], r)
+        q, s = STRtree(sb).query(bb)
+        same = key[bi[q]] == key[si[s]]
+        q, s = q[same], s[same]
+        rx = np.maximum(sb[s, 0], bb[q, 0])
+        ry = np.maximum(sb[s, 1], bb[q, 1])
+        own = grid.cell_of_point(rx, ry) == key[bi[q]]
+        q, s, r = bi[q[own]], si[s[own]], r[q[own]]
+        d = relate("distance", g, s, g, q)
+        keep = d <= r
+        return pa.table({"big_row_id": pa.array(g.row_id[q[keep]], pa.int64()),
+                         "small_row_id": pa.array(g.row_id[s[keep]], pa.int64()),
+                         "distance": pa.array(d[keep], pa.float64())})
+
+    return join_block
+
+
 def partitioned_knn_join(big, small, *, k: int, max_distance: float = float("inf"),
                          target_cells: int = 256, seed: int = 42):
     """Two-large-sides kNN join: Dataset[big_row_id, small_row_id, distance,
@@ -381,9 +336,10 @@ def partitioned_knn_join(big, small, *, k: int, max_distance: float = float("inf
        the small side's extent when the cell holds < k smalls.
 
     B. **Resolve**: bigs replicate to every cell their bound-dilated bbox
-       overlaps (per-row radius); smalls by bbox.  The same per-block kernel
-       as the join: STR-tree candidates, same-cell and reference-point
-       filters, exact distances, keep d <= bound; a final bucketed merge
+       overlaps (per-row radius); smalls by bbox.  One kernel per sorted
+       block (``_cell_join``): STR-tree candidates, same-cell and
+       reference-point filters, exact distances, keep d <= bound; a final
+       bucketed merge
        turns the per-cell results into the global top-k.
 
     Partitioning assumption: per-cell work is bounded by the equi-depth grid
@@ -418,7 +374,7 @@ def partitioned_knn_join(big, small, *, k: int, max_distance: float = float("inf
         g = GeomBatch.from_arrow(t)
         validate_batch(g)
         cell = grid.cell_of_point(g.bbox[:, 0], g.bbox[:, 1])
-        return t.append_column("cell", pa.array(cell * 1024, pa.int64())).append_column(
+        return t.append_column("cell", pa.array(cell, pa.int64())).append_column(
             "side", pa.array(np.ones(g.n, np.int8), pa.int8())
         )
 
@@ -458,7 +414,7 @@ def partitioned_knn_join(big, small, *, k: int, max_distance: float = float("inf
     )
 
     cands = rep_b.sort("cell").map_batches(
-        _cell_join(grid, None, radius_col="knn_bound"), batch_format="pyarrow", batch_size=None
+        _cell_join(grid, "knn_bound"), batch_format="pyarrow", batch_size=None
     )
 
     # final top-k merge: a per-big map_groups would make one Python call

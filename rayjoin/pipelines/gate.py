@@ -146,8 +146,8 @@ WHERE p.x >= r.cx - r.w/2 AND p.x <= r.cx + r.w/2
 
 
 def q_sjoin_point_in_rect_partitioned(sf_dir: str):
-    """Same join through the PBSM partitioned path (two-large-sides plan):
-    replicate-to-cells + groupby(cell) shuffle + reference-point dedup.
+    """Same join through the partitioned path (two-large-sides plan): the
+    sharded broadcast, small side built in tasks, big side streamed.
     Same oracle SQL as the broadcast variant — the row sets must agree."""
     from ..join.partitioned import partitioned_spatial_join
 
@@ -172,7 +172,7 @@ def q_sjoin_uncovered(sf_dir: str):
     """Spatial ANTI join (join/auto.py:spatial_anti_join): customer points
     inside NO supplier rect — the positive join's pair bag is subtracted
     via zero-union + one groupby, never a NOT-EXISTS re-scan.  Forced
-    through the PBSM tier (broadcast_threshold_rows=0) so the gate
+    through the partitioned tier (broadcast_threshold_rows=0) so the gate
     certifies the two-large-sides anti plan."""
     from ..join.auto import spatial_anti_join
 
@@ -337,8 +337,8 @@ WHERE sqrt((b.x - s.x)*(b.x - s.x) + (b.y - s.y)*(b.y - s.y))
 
 
 def q_prox_points_partitioned(sf_dir: str):
-    """Same proximity map through the PBSM path (dilated small-side
-    replication + reference-point dedup); same oracle SQL as broadcast."""
+    """Same proximity map through the partitioned path (sharded broadcast
+    over dilated small-side boxes); same oracle SQL as broadcast."""
     from ..join.partitioned import partitioned_proximity_map
 
     small = _from_arrow(points_geom_table(sf_dir, "supplier", "s_suppkey"), 2)
@@ -424,7 +424,7 @@ def _dbscan_pts_np(k: np.ndarray):
 
 def q_dbscan_points(sf_dir: str):
     """Exact DBSCAN (eps=3 inclusive, min_pts=4 self-inclusive) over
-    clustered customer points: eps-edges via the PBSM proximity self-join,
+    clustered customer points: eps-edges via the partitioned proximity self-join,
     core points via a pre-aggregated degree groupby, components via
     dup_clusters, border/noise via hash joins.  Labels are deterministic
     (min core row_id per cluster, min cluster per border point), so the
@@ -443,7 +443,7 @@ def q_st_dbscan(sf_dir: str):
     with synthetic integer timestamps t = (key*7919) % 100000; a neighbor
     must satisfy BOTH eps=3 spatially AND |dt| <= 20000 — so space-only
     clusters split into temporal episodes.  The temporal predicate rides
-    the engine's broadcast/join tiering over the PBSM spatial edge list
+    the engine's broadcast/join tiering over the partitioned spatial edge list
     (functions/cluster.py:dbscan times/eps_t)."""
     import ray.data
 
@@ -518,7 +518,7 @@ FROM pts p WHERE p.row_id NOT IN (SELECT id FROM assigned)
 def q_local_moran(sf_dir: str):
     """Local Moran's I numerators (Anselin 1995 LISA) over the clustered
     customer points with val = c_custkey % 97 and a 3.0-unit binary
-    d-band weight matrix: neighbor pairs from the SAME PBSM proximity
+    d-band weight matrix: neighbor pairs from the SAME partitioned proximity
     self-join DBSCAN uses, values broadcast as a sorted plasma array,
     (cnt, sum) partials pre-aggregated per block before the one groupby.
     Integer-exact: z_num = n*val - S, lag_num = n*lag_sum - nbrs*S
@@ -562,7 +562,7 @@ FROM pts p CROSS JOIN st LEFT JOIN ag ON ag.ra = p.row_id
 
 def q_ripley_k(sf_dir: str):
     """Ripley's K pair counts over the clustered customer points at the
-    radius ladder (0.5, 1.0, 2.0, 3.0): ONE PBSM proximity self-join at
+    radius ladder (0.5, 1.0, 2.0, 3.0): ONE partitioned proximity self-join at
     the largest radius, per-batch <=-threshold histograms (searchsorted
     on sorted distances), a len(radii)-row groupby, zeros base for empty
     radii (functions/spatial_stats.py:ripley_k)."""
@@ -1032,7 +1032,7 @@ def q_sjoin_with_geos(sf_dir: str):
 
 
 def q_sjoin_with_geos_partitioned(sf_dir: str):
-    """Same join + payloads through the PBSM path (the partitioned
+    """Same join + payloads through the partitioned path (the partitioned
     with_geos variant was broadcast-only in r1 — VERDICT gap #4)."""
     from ..join.partitioned import partitioned_spatial_join
 

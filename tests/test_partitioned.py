@@ -1,4 +1,4 @@
-"""Partitioned (PBSM) join path ≡ broadcast path ≡ oracle."""
+"""Partitioned join paths (sharded broadcast, kNN grid) ≡ broadcast path ≡ oracle."""
 
 import numpy as np
 import pytest
@@ -56,21 +56,18 @@ def test_partitioned_matches_broadcast_on_pillboxes():
         partitioned_spatial_join(_ds(pb, 4), _ds(pb, 4), Interaction.INTERSECTS, target_cells=100)
     )
     assert par == bro
-    # no duplicate pairs from replication (reference-point suppression)
-    assert len(par) == len(set(par))
+    assert len(par) == len(set(par))  # no pair emitted twice
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_hot_cell_salting_preserves_rows():
-    """Skewed input (everything piled into one region) forces hot-cell salts;
-    the salted output must equal the broadcast row set exactly."""
+def test_hot_spot_preserves_rows():
+    """Skewed input (everything piled onto one point) gives the broadcast
+    row set exactly, with no pair emitted twice."""
     from rayjoin.join.broadcast import SpatialIndex
-    from rayjoin.join.partitioned import GridSpec, partitioned_spatial_join
+    from rayjoin.join.partitioned import partitioned_spatial_join
 
     rng = np.random.default_rng(4)
-    # 300 geoms: 90% share the IDENTICAL center (equi-depth boundaries
-    # cannot split coincident centers — the case salting exists for),
-    # 10% spread out
+    # 300 geoms: 90% share the IDENTICAL center, 10% spread out
     from rayjoin.geom.spec import Rect
 
     geoms = []
@@ -83,18 +80,16 @@ def test_hot_cell_salting_preserves_rows():
         geoms.append(Rect(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
     t = encode.geoms_to_table(geoms)
     ds = _ds(geoms, 4)
-    grid = GridSpec.plan(ds, ds, target_cells=36)
-    assert grid.salts, "skewed sample should produce at least one salted cell"
     par = _rows(partitioned_spatial_join(ds, ds, Interaction.INTERSECTS, target_cells=36))
     bro = _rows(SpatialIndex(t).spatial_join(ds, Interaction.INTERSECTS))
     assert par == bro
-    assert len(par) == len(set(par))  # no duplicates from salt replication
+    assert len(par) == len(set(par))
 
 
 @pytest.mark.usefixtures("ray_session")
 def test_partitioned_equals_broadcast_randomized():
     """Seeded sweep over geometry mixes, cell counts and interactions: the
-    PBSM path must always produce the broadcast row set."""
+    partitioned path must always produce the broadcast row set."""
     from rayjoin.join.broadcast import SpatialIndex
     from rayjoin.join.partitioned import partitioned_spatial_join
 
@@ -225,8 +220,8 @@ def test_hilbert_join_matches_broadcast():
 def test_hilbert_join_degenerate_out_of_domain():
     """Geometries outside the lat/lon domain clamp to edge tiles — the
     Hilbert plan degrades to fewer effective ranges but the row set stays
-    exact (the documented behavior; the grid PBSM is the recommended plan
-    for non-geographic planes)."""
+    exact (the documented behavior; the sharded broadcast is the recommended
+    plan for non-geographic planes)."""
     from rayjoin.join.broadcast import SpatialIndex
     from rayjoin.join.hilbert import hilbert_spatial_join
 
@@ -371,8 +366,8 @@ def test_rows_probe_cached_single_execution():
 
 def _hot_inputs():
     """Big side: 60 mixed geometries plus 180 small rects on ONE exact center
-    (an unsplittable hot cell the plan salts); small side: 50 mixed
-    geometries plus 6 rects over the hot spot, so the salted cell has pairs."""
+    (an unsplittable hot cell); small side: 50 mixed geometries plus 6 rects
+    over the hot spot, so the hot cell has pairs."""
     from rayjoin.geom.spec import Rect
 
     rng = np.random.default_rng(29)
@@ -417,9 +412,9 @@ def _tuples(ds):
 
 @pytest.mark.usefixtures("ray_session")
 def test_sorted_blocks_colocate_cell_keys():
-    """The per-block kernel's contract: after ``sort("cell")`` every full
-    cell key (cell*1024+salt) lives in exactly one block, salted keys
-    included, so one kernel call sees every row of each of its keys."""
+    """kNN phase B's per-block kernel contract: after ``sort("cell")`` every
+    cell key lives in exactly one block, so one kernel call sees every row
+    of each of its keys."""
     import pyarrow as pa
 
     from rayjoin.join.partitioned import GridSpec, _replicate
@@ -427,9 +422,8 @@ def test_sorted_blocks_colocate_cell_keys():
     big, small = _hot_inputs()
     big_ds, small_ds = _ds(big, 16), _ds(small, 8)
     grid = GridSpec.plan(small_ds, big_ds, target_cells=36)
-    assert grid.salts, "hot spot should be salted"
-    rep = _replicate(small_ds, grid, side=0, dilate_by=0.0, salts=grid.salts).union(
-        _replicate(big_ds, grid, side=1, dilate_by=0.0, salts=grid.salts)
+    rep = _replicate(small_ds, grid, side=0, dilate_by=0.0).union(
+        _replicate(big_ds, grid, side=1, dilate_by=0.0)
     ).sort("cell").materialize()
     assert rep.num_blocks() > 1
 
@@ -440,17 +434,14 @@ def test_sorted_blocks_colocate_cell_keys():
     per_block = [set(k) for k in rep.map_batches(keys, batch_format="pyarrow",
                                                   batch_size=None).to_pandas()["key"]]
     assert sum(len(k) for k in per_block) == len(set().union(*per_block))
-    salted = {c * 1024 + s for c, n in grid.salts.items() for s in range(1, n)}
-    assert salted & set().union(*per_block)
 
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("blocks", [1, 8])
 @pytest.mark.parametrize("case", ["intersects", "contains", "within", "prox", "with_geos", "knn"])
 def test_partitioned_matches_broadcast_with_hot_cell(case, blocks):
-    """Per-block kernel parity: every plan of the partitioned join gives the
-    broadcast rows on skewed input with a salted hot cell, from one input
-    block per side and from many."""
+    """Every partitioned plan gives the broadcast rows on skewed input with a
+    hot cell, from one input block per side and from many."""
     big, small = _hot_inputs()
     par, bro = _parity_plans(case)
     small_t = encode.geoms_to_table(small)
@@ -504,9 +495,8 @@ def test_partitioned_knn_disjoint_small_side_unbounded():
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("case", ["intersects", "prox", "knn"])
 def test_partitioned_two_empty_sides(case):
-    """Both sides empty: the plan is one cell and every partitioned plan
-    returns zero rows with its usual schema; the broadcast plan returns
-    zero rows too."""
+    """Both sides empty: the grid is one cell and every partitioned plan and
+    the broadcast plan return zero rows with their usual schema."""
     import ray.data
 
     from rayjoin.join.partitioned import GridSpec
@@ -518,7 +508,177 @@ def test_partitioned_two_empty_sides(case):
     assert (grid.nx, grid.ny, grid.salts) == (1, 1, {})
     par, bro = _parity_plans(case)
     out = par(empty(), empty())
-    assert out.count() == bro(encode.GEOM_SCHEMA.empty_table(), empty()).count() == 0
+    out_b = bro(encode.GEOM_SCHEMA.empty_table(), empty())
+    assert out.count() == out_b.count() == 0
     cols = ["big_row_id", "small_row_id"] + {"prox": ["distance"],
                                              "knn": ["distance", "rank"]}.get(case, [])
-    assert out.schema().names == cols
+    assert out.schema().names == out_b.schema().names == cols
+
+
+_GEOS_COLS = ["big_geom_type", "big_coords", "small_geom_type", "small_coords"]
+
+
+def _empty_big_plans(case):
+    """(broadcast, partitioned) builders for the empty-big-side cases."""
+    from rayjoin.join.broadcast import SpatialIndex
+    from rayjoin.join.partitioned import partitioned_proximity_map, partitioned_spatial_join
+
+    cfg = Config(max_distance=0.5)
+    inter = Interaction.INTERSECTS
+    if case == "intersects":
+        return (lambda t, b: SpatialIndex(t).spatial_join(b, inter),
+                lambda b, s: partitioned_spatial_join(b, s, inter))
+    if case == "prox":
+        return (lambda t, b: SpatialIndex(t, cfg).proximity_map(b),
+                lambda b, s: partitioned_proximity_map(b, s, cfg))
+    if case == "prox_with_geos":
+        return (lambda t, b: SpatialIndex(t, cfg).proximity_map_with_geos(b),
+                lambda b, s: partitioned_proximity_map(b, s, cfg, with_geos=True))
+    return (lambda t, b: SpatialIndex(t).spatial_join_with_geos(b, inter),
+            lambda b, s: partitioned_spatial_join(b, s, inter, with_geos=True))
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("case", ["intersects", "prox", "with_geos", "prox_with_geos"])
+def test_empty_big_side_keeps_schema(case):
+    """Empty big side, non-empty small side: the broadcast and the
+    partitioned plan both return zero rows with the mode's schema."""
+    import ray.data
+
+    small = mixed_random(20, seed=5)
+    bro, par = _empty_big_plans(case)
+    cols = ["big_row_id", "small_row_id"] + (["distance"] if "prox" in case else [])
+    cols += _GEOS_COLS if "with_geos" in case else []
+    for out in (bro(encode.geoms_to_table(small), ray.data.from_arrow(
+                    encode.GEOM_SCHEMA.empty_table())),
+                par(ray.data.from_arrow(encode.GEOM_SCHEMA.empty_table()), _ds(small, 2))):
+        assert out.count() == 0
+        assert out.schema().names == cols
+
+
+class _SpyBuild:
+    """Stands in for ``partitioned._build_shard``: records each shard's cuts."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.cuts = []
+
+    def remote(self, config, keep_table, cuts, shard, *blocks):
+        self.cuts.append(cuts)
+        return self.fn.remote(config, keep_table, cuts, shard, *blocks)
+
+
+def _force_shards(monkeypatch, n_small: int, k: int) -> _SpyBuild:
+    """Shrink the shard-rows constant so ``n_small`` rows make ``k`` shards."""
+    import rayjoin.join.auto as auto
+    import rayjoin.join.partitioned as part
+
+    monkeypatch.setattr(auto, "DEFAULT_BROADCAST_ROWS", -(-n_small // k))
+    spy = _SpyBuild(part._build_shard)
+    monkeypatch.setattr(part, "_build_shard", spy)
+    return spy
+
+
+def _sharded_inputs(name):
+    if name == "hot":
+        big, small = _hot_inputs()
+        return big, small, 0.6
+    from rayjoin.geom.spec import Point
+
+    # pill-boxes plus a point inside each of every third one, on both sides,
+    # so CONTAINS and WITHIN have pairs
+    pb = pillboxes(120, seed=12, width=600.0, height=300.0)
+    pts = [Point(*np.mean(p.exterior[:-1], axis=0)) for p in pb[::3]]
+    return pb + pts, pb + pts, 40.0
+
+
+def _sharded_plans(case, max_d):
+    """(sharded, broadcast) builders; prox dilates by ``max_d``."""
+    from rayjoin.join.broadcast import SpatialIndex
+    from rayjoin.join.partitioned import partitioned_proximity_map, partitioned_spatial_join
+
+    if case == "prox":
+        cfg = Config(max_distance=max_d)
+        return (lambda b, s: partitioned_proximity_map(b, s, cfg),
+                lambda t, b: SpatialIndex(t, cfg).proximity_map(b))
+    inter = Interaction.INTERSECTS if case == "with_geos" else Interaction[case.upper()]
+    geos = case == "with_geos"
+    return (lambda b, s: partitioned_spatial_join(b, s, inter, with_geos=geos),
+            lambda t, b: (SpatialIndex(t).spatial_join_with_geos(b, inter) if geos
+                          else SpatialIndex(t).spatial_join(b, inter)))
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("inputs", ["hot", "pillbox"])
+@pytest.mark.parametrize("k", [2, 4, 7])
+@pytest.mark.parametrize("case", ["intersects", "contains", "within", "prox", "with_geos"])
+def test_sharded_matches_broadcast(monkeypatch, case, k, inputs):
+    """Forced K > 1: the sharded plan gives the broadcast rows, with small
+    rows straddling the slice cuts and big rows meeting several shards'
+    dilated extents, and no pair emitted twice."""
+    from rayjoin.geom.batch import GeomBatch
+
+    big, small, max_d = _sharded_inputs(inputs)
+    par, bro = _sharded_plans(case, max_d)
+    exp = _tuples(bro(encode.geoms_to_table(small), _ds(big, 3)))
+    spy = _force_shards(monkeypatch, len(small), k)
+    got = _tuples(par(_ds(big, 3), _ds(small, 2)))
+    assert got == exp and len(got) > 0
+    assert len(got) == len(set(got))
+
+    cuts = spy.cuts[0]
+    assert len(spy.cuts) == cuts.size + 1 >= 2
+    sb = GeomBatch.from_arrow(encode.geoms_to_table(small)).bbox
+    bb = GeomBatch.from_arrow(encode.geoms_to_table(big)).bbox
+    straddle = (sb[:, 0][:, None] < cuts) & (cuts < sb[:, 2][:, None])
+    assert straddle.any(), "no small row straddles a slice cut"
+    shard = np.searchsorted(cuts, (sb[:, 0] + sb[:, 2]) * 0.5, side="right")
+    d = max_d if case == "prox" else 0.0
+    met = np.zeros(len(big), np.int64)
+    for i in np.unique(shard):
+        e = sb[shard == i]
+        x0, y0 = e[:, 0].min() - d, e[:, 1].min() - d
+        x1, y1 = e[:, 2].max() + d, e[:, 3].max() + d
+        met += ~((bb[:, 0] > x1) | (bb[:, 2] < x0) | (bb[:, 1] > y1) | (bb[:, 3] < y0))
+    assert met.max() >= 2, "no big row meets two shard extents"
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("k", [1, 4])
+def test_sharded_plan_never_pulls_small_side(monkeypatch, k):
+    """The driver never builds a small-side table: shards are built in
+    tasks from the small side's block refs."""
+    import rayjoin.join.broadcast as broadcast
+
+    big, small, max_d = _sharded_inputs("hot")
+    par, bro = _sharded_plans("prox", max_d)
+    exp = _tuples(bro(encode.geoms_to_table(small), _ds(big, 3)))
+    big_ds, small_ds = _ds(big, 3), _ds(small, 2)
+    _force_shards(monkeypatch, len(small), k)
+
+    def no_driver_table(small):
+        raise AssertionError("small side pulled to the driver")
+
+    monkeypatch.setattr(broadcast, "_to_table", no_driver_table)
+    assert _tuples(par(big_ds, small_ds)) == exp
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("k", [1, 4])
+def test_sharded_plan_has_no_exchange(monkeypatch, k):
+    """The executed sharded plan is one probe map over the big side's
+    blocks: no sort and no all-to-all exchange."""
+    import ray.data
+
+    big, small = _hot_inputs()
+    t = encode.geoms_to_table(big)
+    big_ds = ray.data.from_arrow([t.slice(0, 100), t.slice(100)])
+    small_ds = ray.data.from_arrow(encode.geoms_to_table(small))
+    _force_shards(monkeypatch, len(small), k)
+    from rayjoin.join.partitioned import partitioned_spatial_join
+
+    out = partitioned_spatial_join(big_ds, small_ds, Interaction.INTERSECTS).materialize()
+    stats = out.stats()
+    assert "probe_fn" in stats
+    for op in ("Sort", "AllToAll", "Repartition", "Aggregate", "Shuffle"):
+        assert op not in stats, op
