@@ -29,10 +29,6 @@ def __getattr__(name):
         from .join import partitioned
 
         return getattr(partitioned, name)
-    if name == "hilbert_spatial_join":
-        from .join.hilbert import hilbert_spatial_join
-
-        return hilbert_spatial_join
     if name in ("asof_join", "band_join"):
         from .functions import temporal
 
@@ -84,7 +80,6 @@ __all__ = [
     "partitioned_spatial_join",
     "partitioned_proximity_map",
     "partitioned_knn_join",
-    "hilbert_spatial_join",
     # temporal joins (Ray Data has no native as-of / range join)
     "asof_join",
     "band_join",

@@ -72,9 +72,8 @@ class Config:
 
     # Reference entry-point parity (/root/reference/src/structs.rs:57-79):
     # Config::new().max_distance(d).serial(small) / .parallel(small).
-    # On Ray both build the same broadcast index; "parallel" is the natural
-    # mode (probe tasks fan out over the cluster), "serial" simply caps the
-    # probe batch parallelism.
+    # On Ray both build the same broadcast index, and Ray schedules the
+    # probe tasks either way.
 
     def with_max_distance(self, v: float) -> "Config":
         return Config(max_distance=v)

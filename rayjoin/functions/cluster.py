@@ -88,7 +88,7 @@ def ids_noise_only(pts):
     )
 
 
-def dbscan(points, *, eps: float, min_pts: int, target_cells: int = 256,
+def dbscan(points, *, eps: float, min_pts: int,
            components_method: str = "auto",
            core_broadcast_rows: int = 16_000_000,
            metric: str = "euclidean",
@@ -99,8 +99,7 @@ def dbscan(points, *, eps: float, min_pts: int, target_cells: int = 256,
     covering EVERY input point (noise rows carry cluster_id == -1).
 
     ``eps`` is the inclusive neighborhood radius, ``min_pts`` the core
-    threshold (self-inclusive).  ``target_cells`` is passed on to the eps
-    self-join, which plans no grid; ``components_method`` forwards to
+    threshold (self-inclusive).  ``components_method`` forwards to
     ``dup_clusters`` ("auto" | "driver" | "distributed").
 
     Two physical plans for the membership/label steps, picked by core count
@@ -153,9 +152,7 @@ def dbscan(points, *, eps: float, min_pts: int, target_cells: int = 256,
          "small_row_id": pa.array([], pa.int64())}
     )
     if metric == "euclidean":
-        edges = partitioned_proximity_map(
-            pts, pts, Config(max_distance=float(eps)),
-            target_cells=target_cells)
+        edges = partitioned_proximity_map(pts, pts, Config(max_distance=float(eps)))
     elif metric == "geodesic":
         from ..join.geodesic import geodesic_proximity_map
 

@@ -49,7 +49,6 @@ _LAG_EMPTY = pa.table({
 
 
 def spatial_lag(points, values, *, max_distance: float,
-                target_cells: int = 256,
                 broadcast_rows: int = 16_000_000):
     """Per-point d-band neighbor count and value sum.
 
@@ -78,9 +77,7 @@ def spatial_lag(points, values, *, max_distance: float,
     pts = pts.materialize()
     vals = vals.materialize()
 
-    pairs = partitioned_proximity_map(
-        pts, pts, Config(max_distance=float(max_distance)),
-        target_cells=target_cells)
+    pairs = partitioned_proximity_map(pts, pts, Config(max_distance=float(max_distance)))
     pairs = pairs.map_batches(
         lambda t: t.select(["big_row_id", "small_row_id"]),
         batch_format="pyarrow")
@@ -192,7 +189,7 @@ def spatial_lag(points, values, *, max_distance: float,
     return out.map_batches(finish_j, batch_format="pyarrow")
 
 
-def ripley_k(points, *, radii, target_cells: int = 256):
+def ripley_k(points, *, radii):
     """Unnormalized Ripley's K pair counts (Ripley 1976): for each radius
     r in ``radii`` (ascending), the number of ORDERED pairs (i, j), i != j,
     with dist(i, j) <= r (inclusive — the proximity_map predicate).  The
@@ -225,8 +222,7 @@ def ripley_k(points, *, radii, target_cells: int = 256):
 
     pts = ray.data.from_arrow(points) if isinstance(points, pa.Table) else points
     pts = pts.materialize()
-    pairs = partitioned_proximity_map(
-        pts, pts, Config(max_distance=rr[-1]), target_cells=target_cells)
+    pairs = partitioned_proximity_map(pts, pts, Config(max_distance=rr[-1]))
 
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -265,7 +261,6 @@ def ripley_k(points, *, radii, target_cells: int = 256):
 
 
 def getis_ord(points, values, *, max_distance: float,
-              target_cells: int = 256,
               broadcast_rows: int = 16_000_000):
     """Integer-exact Getis-Ord Gi* hot-spot numerators (Getis & Ord 1992;
     Ord & Getis 1995) under the same binary d-band weights as
@@ -292,7 +287,6 @@ def getis_ord(points, values, *, max_distance: float,
     s = int(stats["s"] or 0)
 
     lag = spatial_lag(points, vals, max_distance=max_distance,
-                      target_cells=target_cells,
                       broadcast_rows=broadcast_rows)
     nn = pa.scalar(n, pa.int64())
     ss = pa.scalar(s, pa.int64())
@@ -315,7 +309,6 @@ def getis_ord(points, values, *, max_distance: float,
 
 
 def local_moran(points, values, *, max_distance: float,
-                target_cells: int = 256,
                 broadcast_rows: int = 16_000_000):
     """Integer-exact local Moran's I numerators (see module docstring).
 
@@ -335,7 +328,6 @@ def local_moran(points, values, *, max_distance: float,
     s = int(stats["s"] or 0)
 
     lag = spatial_lag(points, vals, max_distance=max_distance,
-                      target_cells=target_cells,
                       broadcast_rows=broadcast_rows)
     nn = pa.scalar(n, pa.int64())
     ss = pa.scalar(s, pa.int64())

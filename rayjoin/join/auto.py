@@ -3,10 +3,10 @@
 - small side under ``broadcast_threshold_rows`` -> broadcast STR index +
   streaming probe (the reference's only mode, fastest when it fits);
 - otherwise -> the partitioned plan: a sharded broadcast for joins and
-  proximity maps (the small side cut into K STR x-slices sized by these
-  same two caps, each shard indexed in a task, the big side streamed past
-  the shards it meets) and a two-phase grid plan for kNN; neither ever
-  materializes a side in one process.
+  proximity maps and kNN (the small side cut into K STR x-slices sized by
+  these same two caps, each shard indexed in a task, the big side streamed
+  past the shards it meets), which never materializes a side in one
+  process.
 
 Both plans produce the identical row set (tested), so the switch is purely
 physical — the 100 TB pipeline calls these entry points and lets the
@@ -109,8 +109,7 @@ def _as_dataset(x):
 
 def spatial_join(big, small, interaction: Interaction, config: Config = Config(),
                  broadcast_threshold_rows: int = DEFAULT_BROADCAST_ROWS,
-                 target_cells: int = 1024, small_rows_hint: int | None = None,
-                 **kwargs):
+                 small_rows_hint: int | None = None, **kwargs):
     """Dataset[big_row_id, small_row_id]; plan picked by small-side size."""
     from .broadcast import SpatialIndex
     from .partitioned import partitioned_spatial_join
@@ -119,15 +118,12 @@ def spatial_join(big, small, interaction: Interaction, config: Config = Config()
     nb = None if small_rows_hint is not None else _bytes_of(small)
     if n <= broadcast_threshold_rows and (nb is None or nb <= DEFAULT_BROADCAST_BYTES):
         return SpatialIndex(small, config, **kwargs).spatial_join(big, interaction)
-    return partitioned_spatial_join(
-        _as_dataset(big), _as_dataset(small), interaction, config, target_cells
-    )
+    return partitioned_spatial_join(_as_dataset(big), _as_dataset(small), interaction, config)
 
 
 def proximity_map(big, small, config: Config,
                   broadcast_threshold_rows: int = DEFAULT_BROADCAST_ROWS,
-                  target_cells: int = 1024, small_rows_hint: int | None = None,
-                  **kwargs):
+                  small_rows_hint: int | None = None, **kwargs):
     """Dataset[big_row_id, small_row_id, distance]; plan picked by size."""
     from .broadcast import SpatialIndex
     from .partitioned import partitioned_proximity_map
@@ -136,17 +132,14 @@ def proximity_map(big, small, config: Config,
     nb = None if small_rows_hint is not None else _bytes_of(small)
     if n <= broadcast_threshold_rows and (nb is None or nb <= DEFAULT_BROADCAST_BYTES):
         return SpatialIndex(small, config, **kwargs).proximity_map(big)
-    return partitioned_proximity_map(
-        _as_dataset(big), _as_dataset(small), config, target_cells
-    )
+    return partitioned_proximity_map(_as_dataset(big), _as_dataset(small), config)
 
 
 def knn_join(big, small, k: int, max_distance: float = float("inf"),
              broadcast_threshold_rows: int = DEFAULT_BROADCAST_ROWS,
-             target_cells: int = 1024, small_rows_hint: int | None = None,
-             **kwargs):
+             small_rows_hint: int | None = None, **kwargs):
     """Dataset[big_row_id, small_row_id, distance, rank]; broadcast kNN when
-    the small side fits, the two-phase partitioned plan otherwise."""
+    the small side fits, the sharded broadcast otherwise."""
     from .broadcast import SpatialIndex
     from .partitioned import partitioned_knn_join
 
@@ -154,16 +147,13 @@ def knn_join(big, small, k: int, max_distance: float = float("inf"),
     nb = None if small_rows_hint is not None else _bytes_of(small)
     if n <= broadcast_threshold_rows and (nb is None or nb <= DEFAULT_BROADCAST_BYTES):
         return SpatialIndex(small, **kwargs).knn_join(big, k=k, max_distance=max_distance)
-    return partitioned_knn_join(
-        _as_dataset(big), _as_dataset(small), k=k, max_distance=max_distance,
-        target_cells=target_cells,
-    )
+    return partitioned_knn_join(_as_dataset(big), _as_dataset(small), k=k,
+                                max_distance=max_distance)
 
 
 def spatial_anti_join(big, small, interaction: Interaction,
                       config: Config = Config(),
                       broadcast_threshold_rows: int = DEFAULT_BROADCAST_ROWS,
-                      target_cells: int = 1024,
                       small_rows_hint: int | None = None, **kwargs):
     """Spatial ANTI join: Dataset[big_row_id] of big rows with NO small
     partner under ``interaction`` (points outside every service area, docs
@@ -184,8 +174,7 @@ def spatial_anti_join(big, small, interaction: Interaction,
     from ray.data.aggregate import Sum
 
     pairs = spatial_join(big, small, interaction, config,
-                         broadcast_threshold_rows, target_cells,
-                         small_rows_hint, **kwargs)
+                         broadcast_threshold_rows, small_rows_hint, **kwargs)
 
     def matched(t: pa.Table) -> pa.Table:
         ids = np.asarray(t["big_row_id"].combine_chunks(), dtype=np.int64)

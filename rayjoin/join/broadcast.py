@@ -3,9 +3,9 @@
 The Ray-Data-native equivalent of the reference's build/probe split
 (/root/reference/src/index.rs:400-420 build, :477-535 probe): the *small*
 side is fully materialized, validated, decoded and STR-indexed ONCE on the
-driver, published to the object store with ``ray.put``, and every probe task
-reads it zero-copy-ish via ``ray.get`` in the actor constructor.  The *big*
-side streams through ``map_batches(ProbeActor, batch_format="pyarrow")`` with
+driver and published to the object store with ``ray.put``; each worker
+fetches it once into a per-worker cache.  The *big* side streams through
+stateless ``map_batches(probe_fn, batch_format="pyarrow")`` tasks with
 backpressure — no shuffle at all.
 
 This is the fast path whenever the indexed side fits in the object store
@@ -29,6 +29,7 @@ from ..geom.batch import GeomBatch
 from ..geom.relates import relate
 from ..state.rtree import STRtree, dilate
 from ..stages.validate import validate_batch
+from ..util import meta_row_count, rank_within_sorted_groups
 
 JOIN_SCHEMA = pa.schema(
     [pa.field("big_row_id", pa.int64()), pa.field("small_row_id", pa.int64())]
@@ -117,7 +118,7 @@ class BroadcastIndex:
 
 def build_index(small, config: Config = Config(), keep_table: bool = True,
                 radius_col: str | None = None) -> "ray.ObjectRef":
-    """Build + broadcast: one ray.put, read by every probe actor."""
+    """Build + broadcast: one ray.put, read by every probe task."""
     return ray.put(BroadcastIndex(small, config, keep_table, radius_col))
 
 
@@ -188,19 +189,40 @@ def _probe_prox(index: BroadcastIndex, big: GeomBatch, big_table: pa.Table = Non
     return out
 
 
-def _probe_knn(index: BroadcastIndex, big: GeomBatch, k: int, max_distance: float) -> pa.Table:
+def _knn_table(b_ids: np.ndarray, s_ids: np.ndarray, d: np.ndarray, k: int) -> pa.Table:
+    """kNN output rows: per big row id, the first ``k`` pairs in
+    (distance, small_row_id) order, ranked from 0."""
+    order = np.lexsort((s_ids, d, b_ids))
+    b_ids, s_ids, d = b_ids[order], s_ids[order], d[order]
+    rank = rank_within_sorted_groups(b_ids)
+    keep = rank < k
+    return pa.table(
+        {
+            "big_row_id": pa.array(b_ids[keep], pa.int64()),
+            "small_row_id": pa.array(s_ids[keep], pa.int64()),
+            "distance": pa.array(d[keep], pa.float64()),
+            "rank": pa.array(rank[keep], pa.int64()),
+        }
+    )
+
+
+def _probe_knn(index: BroadcastIndex, big: GeomBatch, k: int, max_distance,
+               rows: np.ndarray | None = None) -> pa.Table:
     """Expanding-radius kNN: per big geometry, the k nearest smalls ordered
-    by (distance, small_row_id) — deterministic ties (SURVEY.md §7(d))."""
+    by (distance, small_row_id) — deterministic ties (SURVEY.md §7(d)).
+    ``max_distance`` is one inclusive cap or an array of one cap per big
+    position; ``rows`` limits the probe to those big positions."""
     nb = big.n
     ns = index.batch.n
-    if nb == 0 or ns == 0 or k <= 0:
+    pending = np.arange(nb, dtype=np.int64) if rows is None else rows
+    if pending.size == 0 or ns == 0 or k <= 0:
         return KNN_SCHEMA.empty_table()
+    cap = np.broadcast_to(np.asarray(max_distance, np.float64), (nb,))
     x0, y0, x1, y1 = index.extent
     domain_diag = math.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2) or 1.0
     # initial radius: expected k-neighborhood from average density
     r = max(domain_diag * math.sqrt(min(1.0, (k + 1) / max(ns, 1))) * 0.5, domain_diag * 1e-6)
-    r = min(r, max_distance) if math.isfinite(max_distance) else r
-    pending = np.arange(nb, dtype=np.int64)
+    r = min(r, float(cap[pending].max()))
     out_b, out_s, out_d = [], [], []
     # pending-distance cache (VERDICT r2 #7): each doubling round re-queries
     # the tree, and the new candidate set is a SUPERSET of the last round's
@@ -231,26 +253,22 @@ def _probe_knn(index: BroadcastIndex, big: GeomBatch, k: int, max_distance: floa
             d[miss] = relate("distance", index.batch, s[miss], big, bglob[miss])
         # a big geometry is exhausted when its dilated query box covers the
         # whole small-side extent (every small was a candidate) or the
-        # radius reached the distance cap; for those, only the cap filters
+        # radius reached its distance cap; for those, only the cap filters
         covered = (
             (qb[:, 0] <= x0) & (qb[:, 1] <= y0) & (qb[:, 2] >= x1) & (qb[:, 3] >= y1)
-        ) | bool(math.isfinite(max_distance) and r >= max_distance)
-        ok = np.where(covered[q], d <= max_distance, d <= min(r, max_distance))
+        ) | (r >= cap[pending])
+        c = cap[bglob]
+        ok = np.where(covered[q], d <= c, d <= np.minimum(r, c))
         qq, ss, dd = q[ok], s[ok], d[ok]
         # per-big count of in-radius hits
         cnt = np.bincount(qq, minlength=pending.size)
         done = (cnt >= k) | covered
         if done.any():
-            sel = np.flatnonzero(done)
             m = done[qq]
             b_pos = pending[qq[m]]
             order = np.lexsort((index.batch.row_id[ss[m]], dd[m], b_pos))
-            b_sorted = b_pos[order]
-            # rank within group
-            uniq, start_idx, counts = np.unique(b_sorted, return_index=True, return_counts=True)
-            rank = np.arange(b_sorted.size) - np.repeat(start_idx, counts)
-            keep = rank < k
-            out_b.append(b_sorted[keep])
+            keep = rank_within_sorted_groups(b_pos[order]) < k
+            out_b.append(b_pos[order][keep])
             out_s.append(ss[m][order][keep])
             out_d.append(dd[m][order][keep])
         nd = ~done[q]
@@ -266,27 +284,7 @@ def _probe_knn(index: BroadcastIndex, big: GeomBatch, k: int, max_distance: floa
     b = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
     s = np.concatenate(out_s) if out_s else np.empty(0, np.int64)
     d = np.concatenate(out_d) if out_d else np.empty(0, np.float64)
-    # rank column recomputed globally per big (groups are contiguous per append)
-    order = np.lexsort((index.batch.row_id[s] if s.size else s, d, big.row_id[b] if b.size else b))
-    b, s, d = b[order], s[order], d[order]
-    if b.size:
-        bb = big.row_id[b]
-        change = np.concatenate([[True], bb[1:] != bb[:-1]])
-        starts = np.flatnonzero(change)
-        counts = np.diff(np.concatenate([starts, [bb.size]]))
-        rank = np.arange(bb.size) - np.repeat(starts, counts)
-    else:
-        rank = np.empty(0, np.int64)
-    return pa.table(
-        {
-            "big_row_id": pa.array(big.row_id[b] if b.size else np.empty(0, np.int64), pa.int64()),
-            "small_row_id": pa.array(
-                index.batch.row_id[s] if s.size else np.empty(0, np.int64), pa.int64()
-            ),
-            "distance": pa.array(d, pa.float64()),
-            "rank": pa.array(rank, pa.int64()),
-        }
-    )
+    return _knn_table(big.row_id[b], index.batch.row_id[s], d, k)
 
 
 # Per-worker deserialized-index cache: stateless probe *tasks* reuse worker
@@ -324,22 +322,68 @@ def _decode(batch: pa.Table) -> GeomBatch:
     return big
 
 
+def _knn_sharded(shards, big: GeomBatch, k: int, max_distance: float) -> pa.Table:
+    """kNN over several shards in two bounded passes.  A row's *gap* to a
+    shard is the distance from its bbox to the shard's tree extent, a lower
+    bound on any distance into that shard.  Pass 1 probes each row's home
+    shard (smallest gap) under ``max_distance``; the row's kth distance
+    there (``max_distance`` when it found fewer than k) bounds its global
+    kth distance.  Pass 2 probes every other shard whose gap is within that
+    bound, with the bound as the row's cap.  Both tests are inclusive, so
+    ties at the kth distance are kept, and the merge ranks all pairs by
+    (distance, small_row_id)."""
+    if big.n == 0:
+        return KNN_SCHEMA.empty_table()
+    ext = np.array([e for _, e in shards], np.float64)
+    bb = big.bbox
+    dx = np.maximum(np.maximum(ext[:, 0] - bb[:, 2:3], bb[:, 0:1] - ext[:, 2]), 0.0)
+    dy = np.maximum(np.maximum(ext[:, 1] - bb[:, 3:4], bb[:, 1:2] - ext[:, 3]), 0.0)
+    # less 1e-12 of the coordinates' magnitude: the point-segment kernel's
+    # |cross| / |seg| can round an ulp below the exact box gap
+    mag = np.maximum(np.abs(bb).max(axis=1, initial=0.0)[:, None], np.abs(ext).max(axis=1))
+    gap = np.maximum(np.sqrt(dx * dx + dy * dy) - 1e-12 * mag, 0.0)
+    home = np.argmin(gap, axis=1)
+    first = []
+    for j, (ref, _) in enumerate(shards):
+        rows = np.flatnonzero(home == j)
+        if rows.size:
+            first.append(_probe_knn(_get_index(ref), big, k, max_distance, rows))
+    found = pa.concat_tables(first)
+    kth = found["rank"].to_numpy() == k - 1
+    bound = np.full(big.n, max_distance, np.float64)
+    by_id = np.argsort(big.row_id, kind="stable")
+    at = np.searchsorted(big.row_id, found["big_row_id"].to_numpy()[kth], sorter=by_id)
+    bound[by_id[at]] = found["distance"].to_numpy()[kth]
+    outs = [found]
+    # reverse order: the shard resident after pass 1 goes first
+    for j, (ref, _) in reversed(list(enumerate(shards))):
+        rows = np.flatnonzero((home != j) & (gap[:, j] <= bound))
+        if rows.size:
+            outs.append(_probe_knn(_get_index(ref), big, k, bound, rows))
+    t = pa.concat_tables(outs)
+    return _knn_table(t["big_row_id"].to_numpy(), t["small_row_id"].to_numpy(),
+                      t["distance"].to_numpy(), k)
+
+
 def probe_fn(batch: pa.Table, *, shards, mode: str, interaction=None, k: int = 0,
              max_distance: float = float("inf"), with_geos: bool = False) -> pa.Table:
-    """Stateless probe task body (default execution mode), shared by the
-    broadcast and the sharded plan.  ``shards`` is a tuple of ``(index_ref,
-    extent)``.  One shard probes every row of the batch.  Several shards
-    (join and prox only) each probe just the rows whose bbox meets the
-    shard's dilated tree ``extent`` (``(xmin, ymin, xmax, ymax)``), with the
-    worker's cached shard visited first, so each shard is fetched at most
-    once per batch and one is resident at a time."""
+    """Stateless probe task body, shared by the broadcast and the sharded
+    plan.  ``shards`` is a tuple of ``(index_ref, extent)``.  One shard
+    probes every row of the batch.  With several shards, kNN runs
+    ``_knn_sharded``; join and prox probe each shard with just the rows
+    whose bbox meets the shard's dilated tree ``extent`` (``(xmin, ymin,
+    xmax, ymax)``).  The worker's cached shard is visited first, so each
+    shard is fetched at most once per pass and one is resident at a time."""
     big = _decode(batch)
     if len(shards) == 1:
         return _run_probe(_get_index(shards[0][0]), big, batch, mode, interaction, k,
                           max_distance, with_geos)
+    shards = sorted(shards, key=lambda sh: sh[0].hex() not in _INDEX_CACHE)
+    if mode == "knn":
+        return _knn_sharded(shards, big, k, max_distance)
     bb = big.bbox
     outs = []
-    for ref, (x0, y0, x1, y1) in sorted(shards, key=lambda sh: sh[0].hex() not in _INDEX_CACHE):
+    for ref, (x0, y0, x1, y1) in shards:
         # NaN never rejects, as in the tree's own box test
         rows = np.flatnonzero(~((bb[:, 0] > x1) | (bb[:, 2] < x0)
                                 | (bb[:, 1] > y1) | (bb[:, 3] < y0)))
@@ -349,44 +393,19 @@ def probe_fn(batch: pa.Table, *, shards, mode: str, interaction=None, k: int = 0
     return pa.concat_tables(outs) if outs else _empty_result(mode, with_geos)
 
 
-class ProbeActor:
-    """Stateful probe stage (actor-pool variant): fetch the broadcast index
-    once per actor (__init__), stream Arrow batches through __call__.  Use
-    when the pipeline benefits from a pinned pool (e.g. very large indexes
-    where per-worker caching would duplicate memory across many workers)."""
-
-    def __init__(self, index_ref, mode: str, interaction: Optional[Interaction] = None,
-                 k: int = 0, max_distance: float = float("inf"), with_geos: bool = False):
-        self.index: BroadcastIndex = ray.get(index_ref)
-        self.mode = mode
-        self.interaction = interaction
-        self.k = k
-        self.max_distance = max_distance
-        self.with_geos = with_geos
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _run_probe(self.index, _decode(batch), batch, self.mode, self.interaction,
-                          self.k, self.max_distance, self.with_geos)
-
-
 class SpatialIndex:
     """Public API mirroring the reference (/root/reference/src/lib.rs:229-258):
     ``Config`` + small side in, join methods out — but each method returns a
     lazy ``ray.data.Dataset`` instead of an iterator."""
 
-    def __init__(self, small, config: Config = Config(), concurrency: int | None = None,
-                 batch_size: int = 8192, use_actors: bool = False, keep_table: bool = True,
-                 radius_col: str | None = None):
+    def __init__(self, small, config: Config = Config(), batch_size: int = 8192,
+                 keep_table: bool = True, radius_col: str | None = None):
         self.config = config
-        self.concurrency = concurrency
         self.batch_size = batch_size
-        self.use_actors = use_actors
         self.index_ref = build_index(small, config, keep_table, radius_col)
 
     def _probe(self, big, **kwargs):
         import ray.data
-
-        from ..util import meta_row_count
 
         if isinstance(big, (list, tuple, pa.Table)):
             big = ray.data.from_arrow(_to_table(big))
@@ -395,15 +414,6 @@ class SpatialIndex:
             # is empty only once executed still yields a schema-less result
             return ray.data.from_arrow(_empty_result(kwargs["mode"],
                                                      kwargs.get("with_geos", False)))
-        if self.use_actors:
-            return big.map_batches(
-                ProbeActor,
-                fn_constructor_kwargs={"index_ref": self.index_ref, **kwargs},
-                batch_format="pyarrow",
-                batch_size=self.batch_size,
-                concurrency=self.concurrency or 4,
-                num_cpus=1,
-            )
         return big.map_batches(
             probe_fn,
             fn_kwargs={"shards": ((self.index_ref, None),), **kwargs},

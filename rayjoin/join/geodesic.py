@@ -281,9 +281,9 @@ def geodesic_knn_join(big, small, *, k: int, max_meters: float = float("inf")):
     numpy views out of plasma in every map task — never re-shipped per
     batch); the big side streams.  Per batch one chunked hav matrix + a
     stable argsort over id-sorted columns (stability IS the tie rule).  For
-    two large sides, partition big with the geodesic grid above and apply
-    the planar two-phase radius-refinement pattern (join/partitioned.py) —
-    not needed while the indexed side fits a worker, which is the
+    two large sides, shard the small side and bound each row's kth distance
+    by its nearest shard first, the planar pattern of
+    ``broadcast._knn_sharded`` — not needed while the indexed side fits a worker, which is the
     reference's own operating envelope."""
     import ray
     import ray.data

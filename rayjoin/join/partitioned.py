@@ -1,12 +1,12 @@
 """Partitioned spatial joins: the plans for a small side too big to
 broadcast whole.
 
-**Join and proximity map: sharded broadcast.**  The reference indexes the
-small side once and probes every big geometry against it
-(the reference's src/lib.rs:196-203); the no-partition join wins whenever
-its build side fits (*To Partition, or Not to Partition*, SIGMOD 2021).
-When one index would not fit, the small side is cut into K shards and only
-the small side ever moves:
+The reference indexes the small side once and probes every big geometry
+against it (the reference's src/lib.rs:196-203); the no-partition join wins
+whenever its build side fits (*To Partition, or Not to Partition*, SIGMOD
+2021).  When one index would not fit, the small side is cut into K shards
+and only the small side ever moves.  Join, proximity map and kNN share this
+one sharded broadcast plan:
 
 1. **Shard count.** The small side is materialized; its metadata gives
    exact rows and bytes, and ``K = max(1, ceil(rows / DEFAULT_BROADCAST_ROWS),
@@ -20,17 +20,15 @@ the small side ever moves:
    extents, never a small-side table.
 3. **Probe.** The big side streams through ``map_batches`` over whole
    blocks with the broadcast probe body (``broadcast.probe_fn``): decode and
-   validate a block once, then probe each shard whose extent meets it with
-   just the rows that meet that extent, the worker's cached shard first.
-   Per-worker memory is one resident shard.  With K = 1 this is the
-   broadcast probe, with no row routing.
+   validate a block once, then probe the shards the rows may meet, the
+   worker's cached shard first.  Join and prox probe each shard with just
+   the rows that meet its extent.  kNN probes each row's nearest shard
+   first, then only the shards whose box gap is within the row's kth
+   distance found so far, so a row's k nearest neighbours are all found
+   inside its own block's probe and the plan has no exchange.  Per-worker
+   memory is one resident shard.  With K = 1 this is the broadcast probe.
 
 The output row set is EXACTLY the broadcast path's (tested side by side).
-
-**kNN: two-phase grid plan** (``partitioned_knn_join``).  An equi-depth
-sampled grid (``GridSpec``) bounds each big row's kth-neighbour distance per
-cell, then a ``sort("cell")`` exchange co-locates replicated rows for the
-exact resolve.
 """
 
 from __future__ import annotations
@@ -46,13 +44,9 @@ import ray.data
 
 from ..config import Config, Interaction
 from ..geom.batch import GeomBatch
-from ..geom.primitives import repeat_expand
-from ..geom.relates import relate
-from ..stages.validate import validate_batch
-from ..state.rtree import STRtree, dilate
 from ..util import meta_row_count, meta_size_bytes
 from . import auto
-from .broadcast import PROX_SCHEMA, BroadcastIndex, _empty_result, concat_blocks, probe_fn
+from .broadcast import BroadcastIndex, _empty_result, concat_blocks, probe_fn
 
 
 def _sample_extent(ds, frac: float = 0.1, seed: int = 42, cap: int = 1_000_000):
@@ -63,7 +57,7 @@ def _sample_extent(ds, frac: float = 0.1, seed: int = 42, cap: int = 1_000_000):
     never the join's output row set, so a front-biased fallback sample is
     safe; at 10^11 rows the old fraction-based pull was an unbounded
     driver materialization."""
-    from ..util import bounded_sample_frac, meta_row_count
+    from ..util import bounded_sample_frac
 
     def bboxes(t: pa.Table) -> pa.Table:
         g = GeomBatch.from_arrow(t)
@@ -89,11 +83,12 @@ def _sample_extent(ds, frac: float = 0.1, seed: int = 42, cap: int = 1_000_000):
 
 
 class GridSpec:
-    """Skew-aware grid of the partitioned kNN: cell boundaries are
-    *equi-depth quantiles* of the sampled bbox centers (not uniform widths),
-    so hot regions get proportionally more, smaller cells and the per-cell
-    candidate load stays balanced.  Cell ids are row-major over the boundary
-    arrays."""
+    """Skew-aware sampled grid: cell boundaries are *equi-depth quantiles*
+    of the sampled bbox centers (not uniform widths), so hot regions get
+    proportionally more, smaller cells.  Cell ids are row-major over the
+    boundary arrays.  No engine plan uses it: it serves only perfbench's
+    traced ``pbsm_skew`` twin, which plans, replicates and joins over it,
+    until that benchmark times the sharded plan (ROADMAP item 4)."""
 
     def __init__(self, bx: np.ndarray, by: np.ndarray):
         self.bx = np.asarray(bx, dtype=np.float64)  # nx+1 ascending
@@ -138,33 +133,8 @@ class GridSpec:
         return GridSpec(bx, by)
 
 
-def _replicate(ds, grid: GridSpec, side: int, dilate_by: float,
-               radius_col: Optional[str] = None):
-    """Emit one row per (geometry, overlapped cell), keyed by ``cell``.
-
-    ``radius_col`` names a per-row dilation column (the partitioned-kNN
-    phase-B bound) applied instead of the scalar ``dilate_by``."""
-
-    def rep(t: pa.Table) -> pa.Table:
-        g = GeomBatch.from_arrow(t)
-        validate_batch(g)
-        bb = dilate(g.bbox, t[radius_col].to_numpy() if radius_col else dilate_by)
-        ix0, iy0, ix1, iy1 = grid.cell_range(bb)
-        nx = ix1 - ix0 + 1
-        ny = iy1 - iy0 + 1
-        gid, k = repeat_expand(nx * ny)
-        cell = (iy0[gid] + k // nx[gid]) * grid.nx + ix0[gid] + k % nx[gid]
-        taken = t.take(pa.array(gid))
-        return (
-            taken.append_column("cell", pa.array(cell, pa.int64()))
-            .append_column("side", pa.array(np.full(gid.size, side, np.int8), pa.int8()))
-        )
-
-    return ds.map_batches(rep, batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------------------
-# join and proximity map: sharded broadcast
+# sharded broadcast
 # ---------------------------------------------------------------------------
 
 # sampled small rows behind the shard cuts: quantiles of 100k centers put
@@ -190,20 +160,21 @@ def _build_shard(config: Config, keep_table: bool, cuts: Optional[np.ndarray], s
     return index, (tuple(map(float, index.tree.root)) if index.batch.n else None)
 
 
-def _sharded(big, small, mode: str, interaction: Optional[Interaction], config: Config,
-             seed: int, with_geos: bool):
+def _sharded(big, small, config: Config, seed: int, mode: str, with_geos: bool = False,
+             **probe):
     """Build the small side's shards in tasks and stream the big side's
-    whole blocks through the shared probe body."""
+    whole blocks through the shared probe body; ``probe`` holds the mode's
+    own ``probe_fn`` arguments."""
     if meta_row_count(big) == 0:
         return ray.data.from_arrow(_empty_result(mode, with_geos))
     small = small.materialize()
-    k = max(1, math.ceil((meta_row_count(small) or 0) / auto.DEFAULT_BROADCAST_ROWS),
-            math.ceil((meta_size_bytes(small) or 0) / auto.DEFAULT_BROADCAST_BYTES))
+    n_shards = max(1, math.ceil((meta_row_count(small) or 0) / auto.DEFAULT_BROADCAST_ROWS),
+                   math.ceil((meta_size_bytes(small) or 0) / auto.DEFAULT_BROADCAST_BYTES))
     cuts = None
-    if k > 1:
+    if n_shards > 1:
         df = _sample_extent(small, 1.0, seed, _SHARD_SAMPLE)
         cx = ((df["xmin"] + df["xmax"]) * 0.5).to_numpy()
-        cuts = np.unique(np.quantile(cx, np.linspace(0.0, 1.0, k + 1)[1:-1]))
+        cuts = np.unique(np.quantile(cx, np.linspace(0.0, 1.0, n_shards + 1)[1:-1]))
     blocks = small.to_arrow_refs()
     built = [_build_shard.remote(config, with_geos, cuts, i, *blocks)
              for i in range(1 if cuts is None else cuts.size + 1)]
@@ -214,8 +185,7 @@ def _sharded(big, small, mode: str, interaction: Optional[Interaction], config: 
         shards = tuple((ref, ext) for (ref, _), ext in zip(built, extents) if ext is not None)
     return big.map_batches(
         probe_fn, batch_format="pyarrow", batch_size=None,
-        fn_kwargs={"shards": shards, "mode": mode, "interaction": interaction,
-                   "with_geos": with_geos})
+        fn_kwargs={"shards": shards, "mode": mode, "with_geos": with_geos, **probe})
 
 
 def partitioned_spatial_join(big, small, interaction: Interaction,
@@ -224,232 +194,25 @@ def partitioned_spatial_join(big, small, interaction: Interaction,
     """Dataset[big_row_id, small_row_id] — same rows as the broadcast path,
     through the sharded broadcast plan.  ``with_geos=True`` clones both
     geometry payloads into each output row (the partitioned twin of
-    ``spatial_join_with_geos``).  ``target_cells`` shapes only the kNN grid
-    and is accepted here for callers that pass it; ``seed`` seeds the shard
-    sample."""
-    return _sharded(big, small, "join", interaction, config, seed, with_geos)
+    ``spatial_join_with_geos``).  ``target_cells`` is ignored: no plan
+    reads it, and it is accepted only for callers that still pass it.
+    ``seed`` seeds the shard sample."""
+    return _sharded(big, small, config, seed, "join", with_geos, interaction=interaction)
 
 
-def partitioned_proximity_map(big, small, config: Config, target_cells: int = 256,
-                              seed: int = 42, with_geos: bool = False):
+def partitioned_proximity_map(big, small, config: Config, seed: int = 42,
+                              with_geos: bool = False):
     """Dataset[big_row_id, small_row_id, distance] — same rows as broadcast,
-    through the sharded broadcast plan (``target_cells`` as in
-    ``partitioned_spatial_join``)."""
-    return _sharded(big, small, "prox", None, config, seed, with_geos)
-
-
-# ---------------------------------------------------------------------------
-# partitioned kNN (two-large-sides; VERDICT r1 gap #1)
-# ---------------------------------------------------------------------------
-
-
-def _small_extent(small):
-    """Exact bbox extent of the small side: one streaming min/max aggregate
-    (4 scalars to the driver).  None when empty."""
-    from ray.data.aggregate import Max, Min
-
-    def bb(t: pa.Table) -> pa.Table:
-        g = GeomBatch.from_arrow(t)
-        return pa.table(
-            {
-                "xmin": pa.array(g.bbox[:, 0]),
-                "ymin": pa.array(g.bbox[:, 1]),
-                "xmax": pa.array(g.bbox[:, 2]),
-                "ymax": pa.array(g.bbox[:, 3]),
-            }
-        )
-
-    agg = small.map_batches(bb, batch_format="pyarrow").aggregate(
-        Min("xmin"), Min("ymin"), Max("xmax"), Max("ymax")
-    )
-    if agg is None or agg.get("min(xmin)") is None:
-        return None
-    return (agg["min(xmin)"], agg["min(ymin)"], agg["max(xmax)"], agg["max(ymax)"])
-
-
-def _corner_bound(fv: np.ndarray, ext) -> np.ndarray:
-    """Per-big upper bound on the distance to ANY small: the max distance
-    from the big's first vertex (a point ON the geometry) to the 4 corners
-    of the small side's exact bbox extent.  Always valid: every small lies
-    inside the extent, and d(big, s) <= d(first_vertex, any point of s)."""
-    x0, y0, x1, y1 = ext
-    out = np.zeros(fv.shape[0], np.float64)
-    for cx, cy in ((x0, y0), (x0, y1), (x1, y0), (x1, y1)):
-        np.maximum(out, np.sqrt((fv[:, 0] - cx) ** 2 + (fv[:, 1] - cy) ** 2), out=out)
-    return out
-
-
-def _cell_join(grid: GridSpec, radius_col: str):
-    """kNN phase B's distance kernel for one ``sort("cell")`` output block,
-    which holds every row of each of its cell keys: keep the pairs within
-    each big row's ``radius_col`` bound, with their ``distance``.
-
-    One STR tree over the block's small boxes answers all of its big boxes
-    (dilated per row by ``radius_col``).  A pair is kept only when both
-    copies carry the same cell key and that cell holds the top-left corner
-    of the two boxes' overlap (the reference-point rule), so each pair is
-    owned exactly once.  The key filter is the price of one tree per block:
-    a big copy also meets the small row's copies in the block's other
-    cells.  Pure-Arrow body: pandas conversion of nested coords columns is
-    python-object soup."""
-
-    def join_block(t: pa.Table) -> pa.Table:
-        side = t["side"].to_numpy() if t.num_rows else np.empty(0, np.int8)
-        si, bi = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
-        if si.size == 0 or bi.size == 0:
-            return PROX_SCHEMA.empty_table()
-        key = t["cell"].to_numpy()
-        g = GeomBatch.from_arrow(t)
-        r = t[radius_col].to_numpy()[bi]
-        sb = g.bbox[si]
-        bb = dilate(g.bbox[bi], r)
-        q, s = STRtree(sb).query(bb)
-        same = key[bi[q]] == key[si[s]]
-        q, s = q[same], s[same]
-        rx = np.maximum(sb[s, 0], bb[q, 0])
-        ry = np.maximum(sb[s, 1], bb[q, 1])
-        own = grid.cell_of_point(rx, ry) == key[bi[q]]
-        q, s, r = bi[q[own]], si[s[own]], r[q[own]]
-        d = relate("distance", g, s, g, q)
-        keep = d <= r
-        return pa.table({"big_row_id": pa.array(g.row_id[q[keep]], pa.int64()),
-                         "small_row_id": pa.array(g.row_id[s[keep]], pa.int64()),
-                         "distance": pa.array(d[keep], pa.float64())})
-
-    return join_block
+    through the sharded broadcast plan."""
+    return _sharded(big, small, config, seed, "prox", with_geos)
 
 
 def partitioned_knn_join(big, small, *, k: int, max_distance: float = float("inf"),
-                         target_cells: int = 256, seed: int = 42):
-    """Two-large-sides kNN join: Dataset[big_row_id, small_row_id, distance,
-    rank] — bit-exact vs the broadcast ``knn_join`` (same distance kernels,
-    same (distance, small_row_id) tie rule; tested side by side).
-
-    Two-phase plan (no expanding-ring driver loop, two shuffles total):
-
-    A. **Bound**: smalls replicate to grid cells by bbox; each big lands in
-       ONE cell (its bbox min corner).  Per cell, a per-big upper bound on
-       its kth-NN distance: the kth smallest FIRST-VERTEX distance to the
-       in-cell smalls (first vertices lie on the geometries, so pairwise
-       vertex distance >= geometry distance — a cheap vectorized bound with
-       no exact kernels), falling back to the distance to the far corner of
-       the small side's extent when the cell holds < k smalls.
-
-    B. **Resolve**: bigs replicate to every cell their bound-dilated bbox
-       overlaps (per-row radius); smalls by bbox.  One kernel per sorted
-       block (``_cell_join``): STR-tree candidates, same-cell and
-       reference-point filters, exact distances, keep d <= bound; a final
-       bucketed merge
-       turns the per-cell results into the global top-k.
-
-    Partitioning assumption: per-cell work is bounded by the equi-depth grid
-    plan; bigs in regions with < k local smalls fall back to wide bounds and
-    replicate broadly (rare under the sampled equi-depth grid).
-    """
-    grid = GridSpec.plan(small, big, target_cells, seed=seed)
-    ext = _small_extent(small)
-
-    def _empty():
-        import ray.data
-
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "big_row_id": pa.array([], pa.int64()),
-                    "small_row_id": pa.array([], pa.int64()),
-                    "distance": pa.array([], pa.float64()),
-                    "rank": pa.array([], pa.int64()),
-                }
-            )
-        )
-
-    if ext is None or k <= 0:
-        return _empty()
-    cap = max_distance if math.isfinite(max_distance) else np.inf
-
-    # ---- phase A: bound ----
-    small_rep = _replicate(small, grid, side=0, dilate_by=0.0)
-
-    def big_cell(t: pa.Table) -> pa.Table:
-        g = GeomBatch.from_arrow(t)
-        validate_batch(g)
-        cell = grid.cell_of_point(g.bbox[:, 0], g.bbox[:, 1])
-        return t.append_column("cell", pa.array(cell, pa.int64())).append_column(
-            "side", pa.array(np.ones(g.n, np.int8), pa.int8())
-        )
-
-    rep_a = small_rep.union(big.map_batches(big_cell, batch_format="pyarrow"))
-
-    def bound_cell(t: pa.Table) -> pa.Table:
-        big_t = t.filter(pa.compute.equal(t["side"], 1)).drop_columns(["cell", "side"])
-        if big_t.num_rows == 0:
-            return big_t.append_column("knn_bound", pa.array([], pa.float64()))
-        small_t = t.filter(pa.compute.equal(t["side"], 0)).drop_columns(["cell", "side"])
-        bg = GeomBatch.from_arrow(big_t)
-        fv_b = bg.xy[bg.geom_vert_start(np.arange(bg.n, dtype=np.int64))]
-        bound = _corner_bound(fv_b, ext)
-        if small_t.num_rows >= k:
-            sg = GeomBatch.from_arrow(small_t)
-            fv_s = sg.xy[sg.geom_vert_start(np.arange(sg.n, dtype=np.int64))]
-            # cap the bound matrix: the kth distance among ANY >=k-subset of
-            # in-cell smalls is a valid upper bound on the global kth, so a
-            # hot cell costs O(nb * cap) instead of O(nb * ns) — slightly
-            # looser bound, never incorrect
-            cap_cols = max(4 * k, 512)
-            if fv_s.shape[0] > cap_cols:
-                fv_s = fv_s[:cap_cols]
-            dx = fv_b[:, 0][:, None] - fv_s[:, 0][None, :]
-            dy = fv_b[:, 1][:, None] - fv_s[:, 1][None, :]
-            d = np.sqrt(dx * dx + dy * dy)
-            kth = np.partition(d, k - 1, axis=1)[:, k - 1]
-            bound = np.minimum(bound, kth)
-        bound = np.minimum(bound, cap)
-        return big_t.append_column("knn_bound", pa.array(bound, pa.float64()))
-
-    bounded = rep_a.groupby("cell").map_groups(bound_cell, batch_format="pyarrow")
-
-    # ---- phase B: resolve ----
-    rep_b = _replicate(small, grid, side=0, dilate_by=0.0).union(
-        _replicate(bounded, grid, side=1, dilate_by=0.0, radius_col="knn_bound")
-    )
-
-    cands = rep_b.sort("cell").map_batches(
-        _cell_join(grid, "knn_bound"), batch_format="pyarrow", batch_size=None
-    )
-
-    # final top-k merge: a per-big map_groups would make one Python call
-    # PER BIG (measured: 2M bigs -> ~190 s of pure group overhead).  Hash
-    # the bigs into a bounded number of buckets instead; each bucket merges
-    # ALL its bigs with one lexsort + segmented rank.
-    merge_parts = 256
-    from ..util import knuth_bucket, rank_within_sorted_groups
-
-    def add_part(t: pa.Table) -> pa.Table:
-        b = np.asarray(t["big_row_id"].combine_chunks(), dtype=np.int64)
-        return t.append_column("part", pa.array(knuth_bucket(b, merge_parts), pa.int64()))
-
-    def topk_bucket(t: pa.Table) -> pa.Table:
-        b = np.asarray(t["big_row_id"].combine_chunks(), dtype=np.int64)
-        d = np.asarray(t["distance"].combine_chunks(), dtype=np.float64)
-        sid = np.asarray(t["small_row_id"].combine_chunks(), dtype=np.int64)
-        order = np.lexsort((sid, d, b))
-        b, d, sid = b[order], d[order], sid[order]
-        rank = rank_within_sorted_groups(b)
-        keep = rank < k
-        return pa.table(
-            {
-                "big_row_id": pa.array(b[keep], pa.int64()),
-                "small_row_id": pa.array(sid[keep], pa.int64()),
-                "distance": pa.array(d[keep], pa.float64()),
-                "rank": pa.array(rank[keep], pa.int64()),
-            }
-        )
-
-    # map_groups emits no block for an empty input: the empty table keeps
-    # the schema when no big row has a small within max_distance
-    return (
-        cands.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(topk_bucket, batch_format="pyarrow")
-        .union(_empty())
-    )
+                         seed: int = 42):
+    """Dataset[big_row_id, small_row_id, distance, rank] — bit-exact vs the
+    broadcast ``knn_join`` (same distance kernel, same (distance,
+    small_row_id) tie rule; tested side by side), through the sharded
+    broadcast plan with undilated shard indexes.  Each row's k nearest
+    neighbours come out of its own block's probe (``broadcast._knn_sharded``),
+    so there is no exchange and no cross-block merge."""
+    return _sharded(big, small, Config(), seed, "knn", k=k, max_distance=max_distance)

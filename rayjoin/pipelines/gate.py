@@ -153,19 +153,7 @@ def q_sjoin_point_in_rect_partitioned(sf_dir: str):
 
     rects = _from_arrow(rects_geom_table(sf_dir), 2)
     pts = _from_arrow(points_geom_table(sf_dir, "customer", "c_custkey"))
-    return partitioned_spatial_join(pts, rects, Interaction.CONTAINS, target_cells=64)
-
-
-def q_sjoin_point_in_rect_hilbert(sf_dir: str):
-    """Same join through the Hilbert-range partitioner (the north-star
-    literal plan: sampled Hilbert ranges drive the groupby-shuffle); same
-    oracle SQL — row sets must agree."""
-    from ..join.hilbert import hilbert_spatial_join
-
-    rects = _from_arrow(rects_geom_table(sf_dir), 2)
-    pts = _from_arrow(points_geom_table(sf_dir, "customer", "c_custkey"))
-    return hilbert_spatial_join(pts, rects, Interaction.CONTAINS, num_ranges=32,
-                                resolution=8)
+    return partitioned_spatial_join(pts, rects, Interaction.CONTAINS)
 
 
 def q_sjoin_uncovered(sf_dir: str):
@@ -179,7 +167,7 @@ def q_sjoin_uncovered(sf_dir: str):
     rects = _from_arrow(rects_geom_table(sf_dir), 2)
     pts = _from_arrow(points_geom_table(sf_dir, "customer", "c_custkey"))
     return spatial_anti_join(pts, rects, Interaction.CONTAINS,
-                             broadcast_threshold_rows=0, target_cells=64)
+                             broadcast_threshold_rows=0)
 
 
 SQL_UNCOVERED = """
@@ -343,7 +331,7 @@ def q_prox_points_partitioned(sf_dir: str):
 
     small = _from_arrow(points_geom_table(sf_dir, "supplier", "s_suppkey"), 2)
     big = _from_arrow(points_geom_table(sf_dir, "customer", "c_custkey"))
-    return partitioned_proximity_map(big, small, Config(max_distance=3.0), target_cells=64)
+    return partitioned_proximity_map(big, small, Config(max_distance=3.0))
 
 
 def q_geodesic_prox(sf_dir: str):
@@ -435,7 +423,7 @@ def q_dbscan_points(sf_dir: str):
     k = _read_keys(sf_dir, "customer", "c_custkey")
     x, y = _dbscan_pts_np(k)
     pts = _from_arrow(points_geom(k, x, y))
-    return dbscan(pts, eps=3.0, min_pts=4, target_cells=64)
+    return dbscan(pts, eps=3.0, min_pts=4)
 
 
 def q_st_dbscan(sf_dir: str):
@@ -457,8 +445,7 @@ def q_st_dbscan(sf_dir: str):
         "row_id": pa.array(k, pa.int64()),
         "t": pa.array((k * 7919) % 100000, pa.int64()),
     })).repartition(2)
-    return dbscan(pts, eps=3.0, min_pts=4, target_cells=64,
-                  times=times, eps_t=20000)
+    return dbscan(pts, eps=3.0, min_pts=4, times=times, eps_t=20000)
 
 
 def sql_st_dbscan() -> str:
@@ -535,7 +522,7 @@ def q_local_moran(sf_dir: str):
         "row_id": pa.array(k, pa.int64()),
         "val": pa.array(k % 97, pa.int64()),
     })).repartition(4)
-    return local_moran(pts, vals, max_distance=3.0, target_cells=64)
+    return local_moran(pts, vals, max_distance=3.0)
 
 
 def sql_local_moran() -> str:
@@ -572,7 +559,7 @@ def q_ripley_k(sf_dir: str):
     k = _read_keys(sf_dir, "customer", "c_custkey")
     x, y = _dbscan_pts_np(k)
     pts = _from_arrow(points_geom(k, x, y))
-    return ripley_k(pts, radii=(0.5, 1.0, 2.0, 3.0), target_cells=64)
+    return ripley_k(pts, radii=(0.5, 1.0, 2.0, 3.0))
 
 
 def sql_ripley_k() -> str:
@@ -610,7 +597,7 @@ def q_getis_ord(sf_dir: str):
         "row_id": pa.array(k, pa.int64()),
         "val": pa.array(k % 97, pa.int64()),
     })).repartition(4)
-    return getis_ord(pts, vals, max_distance=3.0, target_cells=64)
+    return getis_ord(pts, vals, max_distance=3.0)
 
 
 def sql_getis_ord() -> str:
@@ -802,14 +789,14 @@ FROM s
 
 
 def q_knn_points_partitioned(sf_dir: str):
-    """Same kNN join through the two-large-sides partitioned plan (phase-A
-    bound + phase-B radius-replicated resolve); same oracle SQL as the
-    broadcast variant — the row sets must agree bit-exactly."""
+    """Same kNN join through the two-large-sides partitioned plan (the
+    sharded broadcast); same oracle SQL as the broadcast variant — the row
+    sets must agree bit-exactly."""
     from ..join.partitioned import partitioned_knn_join
 
     small = _from_arrow(points_geom_table(sf_dir, "supplier", "s_suppkey"), 2)
     big = _from_arrow(points_geom_table(sf_dir, "customer", "c_custkey"))
-    ds = partitioned_knn_join(big, small, k=3, target_cells=64)
+    ds = partitioned_knn_join(big, small, k=3)
     return ds.map_batches(
         lambda t: t.rename_columns(["big_row_id", "small_row_id", "distance", "knn_rank"]),
         batch_format="pyarrow",
@@ -846,13 +833,13 @@ SELECT big_row_id, small_row_id, distance, rn - 1 AS knn_rank FROM r WHERE rn <=
 
 
 def q_knn_points_capped_partitioned(sf_dir: str):
-    """The radius-capped kNN through the partitioned plan (cap feeds the
-    phase-A bound directly); same oracle SQL as the broadcast variant."""
+    """The radius-capped kNN through the partitioned plan (the cap bounds
+    every shard probe); same oracle SQL as the broadcast variant."""
     from ..join.partitioned import partitioned_knn_join
 
     small = _from_arrow(points_geom_table(sf_dir, "supplier", "s_suppkey"), 2)
     big = _from_arrow(points_geom_table(sf_dir, "events", "event_id"))
-    ds = partitioned_knn_join(big, small, k=5, max_distance=20.0, target_cells=64)
+    ds = partitioned_knn_join(big, small, k=5, max_distance=20.0)
     return ds.map_batches(
         lambda t: t.rename_columns(["big_row_id", "small_row_id", "distance", "knn_rank"]),
         batch_format="pyarrow",
@@ -1038,8 +1025,7 @@ def q_sjoin_with_geos_partitioned(sf_dir: str):
 
     rects = _from_arrow(rects_geom_table(sf_dir), 2)
     pts = _from_arrow(points_geom_table(sf_dir, "customer", "c_custkey"))
-    ds = partitioned_spatial_join(pts, rects, Interaction.CONTAINS, target_cells=64,
-                                  with_geos=True)
+    ds = partitioned_spatial_join(pts, rects, Interaction.CONTAINS, with_geos=True)
     return ds.map_batches(_flatten_point_in_rect_geos, batch_format="pyarrow")
 
 
@@ -8661,7 +8647,6 @@ def build_queries():
     queries = {
         "sjoin_point_in_rect": q_sjoin_point_in_rect,
         "sjoin_point_in_rect_partitioned": q_sjoin_point_in_rect_partitioned,
-        "sjoin_point_in_rect_hilbert": q_sjoin_point_in_rect_hilbert,
         "sjoin_uncovered": q_sjoin_uncovered,
         "sjoin_rect_rect_intersects": q_sjoin_rect_rect_intersects,
         "overlay_rect_area": q_overlay_rect_area,
@@ -8869,7 +8854,6 @@ def build_queries():
     oracle = {
         "sjoin_point_in_rect": SQL_POINT_IN_RECT.format(pts=pts_cust, rects=rsup),
         "sjoin_point_in_rect_partitioned": SQL_POINT_IN_RECT.format(pts=pts_cust, rects=rsup),
-        "sjoin_point_in_rect_hilbert": SQL_POINT_IN_RECT.format(pts=pts_cust, rects=rsup),
         "sjoin_uncovered": SQL_UNCOVERED.format(pts=pts_cust, rects=rsup),
         "sjoin_rect_rect_intersects": SQL_RECT_RECT.format(a=rsup, b=rnat),
         "overlay_rect_area": SQL_OVERLAY_RECT.format(a=rsup, b=rnat),

@@ -68,7 +68,7 @@ def test_dbscan_matches_brute_force(ray_session, method, bcast_rows):
     y = rng.uniform(0, 80, n)
     ids = (rng.permutation(n).astype(np.int64) * 7 + 3)
     exp = brute_dbscan(ids, x, y, eps=4.0, min_pts=4)
-    got = run_engine(ids, x, y, 4.0, 4, target_cells=16,
+    got = run_engine(ids, x, y, 4.0, 4,
                      components_method=method,
                      core_broadcast_rows=bcast_rows)
     assert got == exp
@@ -82,7 +82,7 @@ def test_dbscan_all_noise(ray_session):
     ids = np.arange(5, dtype=np.int64)
     x = np.arange(5) * 100.0
     y = np.zeros(5)
-    got = run_engine(ids, x, y, 1.0, 2, target_cells=4)
+    got = run_engine(ids, x, y, 1.0, 2)
     assert got == {i: (-1, False) for i in range(5)}
 
 
@@ -92,7 +92,7 @@ def test_dbscan_min_pts_one_every_point_core(ray_session):
     ids = np.array([9, 4, 30], dtype=np.int64)
     x = np.array([0.0, 50.0, 100.0])
     y = np.zeros(3)
-    got = run_engine(ids, x, y, 1.0, 1, target_cells=4)
+    got = run_engine(ids, x, y, 1.0, 1)
     assert got == {9: (9, True), 4: (4, True), 30: (30, True)}
 
 
@@ -102,7 +102,7 @@ def test_dbscan_duplicate_coordinates_cluster(ray_session):
     ids = np.array([12, 7, 22, 5], dtype=np.int64)
     x = np.full(4, 3.25)
     y = np.full(4, -1.5)
-    got = run_engine(ids, x, y, 0.5, 4, target_cells=4)
+    got = run_engine(ids, x, y, 0.5, 4)
     assert got == {12: (5, True), 7: (5, True), 22: (5, True), 5: (5, True)}
 
 
@@ -114,7 +114,7 @@ def test_dbscan_border_takes_min_cluster(ray_session):
                    dtype=np.int64)
     x = np.array([0.0, 0.05, 0.1, 0.15, 19.85, 19.9, 19.95, 20.0, 10.0])
     y = np.zeros(9)
-    got = run_engine(ids, x, y, 9.87, 4, target_cells=4)
+    got = run_engine(ids, x, y, 9.87, 4)
     assert got[999] == (100, False)
     assert got[100] == (100, True) and got[200] == (200, True)
     exp = brute_dbscan(ids, x, y, 9.87, 4)

@@ -27,7 +27,7 @@ def test_unit_cases_distributed():
     from rayjoin.join.broadcast import SpatialIndex
 
     for name, small, big, cfg, kind in unit_cases():
-        idx = SpatialIndex(encode.geoms_to_table(small), Config(**cfg), concurrency=2)
+        idx = SpatialIndex(encode.geoms_to_table(small), Config(**cfg))
         if kind == "prox":
             rows = _sorted_rows(idx.proximity_map(_ds(big, 1)))
             exp = slow_prox_map(small, big, cfg.get("max_distance", 0.0))
@@ -47,7 +47,7 @@ def test_spatial_join_vs_oracle(interaction):
 
     small = mixed_random(40, seed=21)
     big = mixed_random(60, seed=22)
-    idx = SpatialIndex(encode.geoms_to_table(small), concurrency=2)
+    idx = SpatialIndex(encode.geoms_to_table(small))
     got = _sorted_rows(idx.spatial_join(_ds(big), interaction))
     exp = slow_spatial_join(small, big, interaction)
     assert got == [tuple(r) for r in exp]
@@ -60,7 +60,7 @@ def test_prox_map_vs_oracle(max_distance):
 
     small = mixed_random(30, seed=31)
     big = mixed_random(40, seed=32)
-    idx = SpatialIndex(encode.geoms_to_table(small), Config(max_distance=max_distance), concurrency=2)
+    idx = SpatialIndex(encode.geoms_to_table(small), Config(max_distance=max_distance))
     got = _sorted_rows(idx.proximity_map(_ds(big)))
     exp = slow_prox_map(small, big, max_distance)
     assert got == [tuple(r) for r in exp]  # distances compared exactly
@@ -73,7 +73,7 @@ def test_knn_vs_oracle():
     small = mixed_random(35, seed=41)
     big = mixed_random(25, seed=42)
     for k, maxd in [(1, float("inf")), (3, float("inf")), (5, 1.0), (100, float("inf"))]:
-        idx = SpatialIndex(encode.geoms_to_table(small), concurrency=2)
+        idx = SpatialIndex(encode.geoms_to_table(small))
         df = idx.knn_join(_ds(big), k=k, max_distance=maxd).to_pandas()
         got = sorted(map(tuple, df[["big_row_id", "small_row_id", "distance"]].itertuples(index=False)),
                      key=lambda r: (r[0], r[2], r[1]))
@@ -91,7 +91,7 @@ def test_pillbox_self_join_distributed():
 
     pb = pillboxes(60, seed=5, width=400.0, height=200.0)
     t = encode.geoms_to_table(pb)
-    idx = SpatialIndex(t, concurrency=2)
+    idx = SpatialIndex(t)
     got = _sorted_rows(idx.spatial_join(_ds(pb), Interaction.INTERSECTS))
     exp = slow_spatial_join(pb, pb, Interaction.INTERSECTS)
     assert got == [tuple(r) for r in exp]
@@ -128,9 +128,7 @@ def test_degenerate_corpus_distributed():
         got = _sorted_rows(idx.proximity_map(_ds(big, 1)))
         assert got == [tuple(r) for r in exp], f"broadcast:{name}"
         par = _sorted_rows(
-            partitioned_proximity_map(
-                _ds(big, 1), _ds(small, 1), Config(max_distance=maxd), target_cells=4
-            )
+            partitioned_proximity_map(_ds(big, 1), _ds(small, 1), Config(max_distance=maxd))
         )
         assert par == [tuple(r) for r in exp], f"partitioned:{name}"
 
@@ -142,36 +140,16 @@ def test_unit_cases_through_partitioned_path():
     for name, small, big, cfg, kind in unit_cases():
         if kind == "prox":
             got = _sorted_rows(
-                partitioned_proximity_map(
-                    _ds(big, 1), _ds(small, 1), Config(**cfg), target_cells=9
-                )
+                partitioned_proximity_map(_ds(big, 1), _ds(small, 1), Config(**cfg))
             )
             exp = slow_prox_map(small, big, cfg.get("max_distance", 0.0))
         else:
             inter = Interaction.INTERSECTS if kind == "sjoin_intersects" else Interaction.CONTAINS
             got = _sorted_rows(
-                partitioned_spatial_join(_ds(big, 1), _ds(small, 1), inter, target_cells=9)
+                partitioned_spatial_join(_ds(big, 1), _ds(small, 1), inter)
             )
             exp = slow_spatial_join(small, big, inter)
         assert got == [tuple(r) for r in exp], name
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_actor_pool_probe_matches_tasks():
-    """use_actors=True (pinned actor pool) produces the same rows as the
-    default stateless-task path."""
-    from rayjoin.join.broadcast import SpatialIndex
-
-    small = mixed_random(20, seed=81)
-    big = mixed_random(25, seed=82)
-    t = encode.geoms_to_table(small)
-    tasks = _sorted_rows(SpatialIndex(t).spatial_join(_ds(big), Interaction.INTERSECTS))
-    actors = _sorted_rows(
-        SpatialIndex(t, use_actors=True, concurrency=2).spatial_join(
-            _ds(big), Interaction.INTERSECTS
-        )
-    )
-    assert actors == tasks
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -251,7 +229,7 @@ def test_spatial_anti_join_vs_oracle(force_pbsm):
     exp = sorted(set(range(len(big))) - matched)
     assert exp and matched  # non-vacuous both ways
 
-    kw = {"broadcast_threshold_rows": 0, "target_cells": 16} if force_pbsm else {}
+    kw = {"broadcast_threshold_rows": 0} if force_pbsm else {}
     out = spatial_anti_join(
         _ds(big), encode.geoms_to_table(small), Interaction.INTERSECTS, **kw
     ).to_pandas()
@@ -272,7 +250,7 @@ def test_prox_varradius_vs_per_radius_oracle():
     radii = np.asarray([(i % 4) * 0.7 for i in range(len(small))], np.float64)
     st = encode.geoms_to_table(small)
     st = st.append_column("radius", pa.array(radii, pa.float64()))
-    idx = SpatialIndex(st, Config(), concurrency=2, radius_col="radius")
+    idx = SpatialIndex(st, Config(), radius_col="radius")
     got = _sorted_rows(idx.proximity_map(_ds(big)))
 
     exp = []

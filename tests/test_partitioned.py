@@ -1,4 +1,4 @@
-"""Partitioned join paths (sharded broadcast, kNN grid) ≡ broadcast path ≡ oracle."""
+"""Partitioned join paths (the sharded broadcast) ≡ broadcast path ≡ oracle."""
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ def test_partitioned_join_matches_oracle(interaction):
 
     small = mixed_random(40, seed=51)
     big = mixed_random(50, seed=52)
-    got = _rows(partitioned_spatial_join(_ds(big), _ds(small), interaction, target_cells=64))
+    got = _rows(partitioned_spatial_join(_ds(big), _ds(small), interaction))
     exp = slow_spatial_join(small, big, interaction)
     assert got == [tuple(r) for r in exp]
 
@@ -39,7 +39,7 @@ def test_partitioned_prox_matches_oracle():
     small = mixed_random(30, seed=61)
     big = mixed_random(30, seed=62)
     cfg = Config(max_distance=0.7)
-    got = _rows(partitioned_proximity_map(_ds(big), _ds(small), cfg, target_cells=49))
+    got = _rows(partitioned_proximity_map(_ds(big), _ds(small), cfg))
     exp = slow_prox_map(small, big, 0.7)
     assert got == [tuple(r) for r in exp]  # exact distances
 
@@ -52,9 +52,7 @@ def test_partitioned_matches_broadcast_on_pillboxes():
     pb = pillboxes(300, seed=9, width=800.0, height=400.0)
     t = encode.geoms_to_table(pb)
     bro = _rows(SpatialIndex(t).spatial_join(_ds(pb, 4), Interaction.INTERSECTS))
-    par = _rows(
-        partitioned_spatial_join(_ds(pb, 4), _ds(pb, 4), Interaction.INTERSECTS, target_cells=100)
-    )
+    par = _rows(partitioned_spatial_join(_ds(pb, 4), _ds(pb, 4), Interaction.INTERSECTS))
     assert par == bro
     assert len(par) == len(set(par))  # no pair emitted twice
 
@@ -80,7 +78,7 @@ def test_hot_spot_preserves_rows():
         geoms.append(Rect(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
     t = encode.geoms_to_table(geoms)
     ds = _ds(geoms, 4)
-    par = _rows(partitioned_spatial_join(ds, ds, Interaction.INTERSECTS, target_cells=36))
+    par = _rows(partitioned_spatial_join(ds, ds, Interaction.INTERSECTS))
     bro = _rows(SpatialIndex(t).spatial_join(ds, Interaction.INTERSECTS))
     assert par == bro
     assert len(par) == len(set(par))
@@ -88,21 +86,20 @@ def test_hot_spot_preserves_rows():
 
 @pytest.mark.usefixtures("ray_session")
 def test_partitioned_equals_broadcast_randomized():
-    """Seeded sweep over geometry mixes, cell counts and interactions: the
-    partitioned path must always produce the broadcast row set."""
+    """Seeded sweep over geometry mixes and interactions: the partitioned
+    path must always produce the broadcast row set."""
     from rayjoin.join.broadcast import SpatialIndex
     from rayjoin.join.partitioned import partitioned_spatial_join
 
     rng = np.random.default_rng(123)
     for trial in range(5):
         ns, nb = int(rng.integers(5, 45)), int(rng.integers(5, 45))
-        cells = int(rng.choice([4, 25, 100, 400]))
         inter = list(Interaction)[trial % 3]
         small = mixed_random(ns, seed=int(rng.integers(1 << 30)))
         big = mixed_random(nb, seed=int(rng.integers(1 << 30)))
         bro = _rows(SpatialIndex(encode.geoms_to_table(small)).spatial_join(_ds(big, 2), inter))
-        par = _rows(partitioned_spatial_join(_ds(big, 2), _ds(small, 2), inter, target_cells=cells))
-        assert par == bro, (trial, ns, nb, cells, inter)
+        par = _rows(partitioned_spatial_join(_ds(big, 2), _ds(small, 2), inter))
+        assert par == bro, (trial, ns, nb, inter)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -119,12 +116,12 @@ def test_auto_dispatch():
     # forced partitioned route (threshold 0)
     got_p = _rows(
         spatial_join(_ds(big, 2), _ds(small, 2), Interaction.INTERSECTS,
-                     broadcast_threshold_rows=0, target_cells=25)
+                     broadcast_threshold_rows=0)
     )
     assert got_b == exp and got_p == exp
     exp2 = [tuple(r) for r in slow_prox_map(small, big, 0.5)]
     got2 = _rows(proximity_map(_ds(big, 2), _ds(small, 2), Config(max_distance=0.5),
-                               broadcast_threshold_rows=0, target_cells=16))
+                               broadcast_threshold_rows=0))
     assert got2 == exp2
 
 
@@ -132,14 +129,13 @@ def test_auto_dispatch():
 def test_partitioned_knn_matches_broadcast():
     """Two-large-sides kNN reproduces the broadcast kNN rows bit-exactly
     (same kernels, same (distance, small_row_id) tie rule), with and
-    without a distance cap, across geometry mixes and grid sizes."""
+    without a distance cap, across geometry mixes."""
     from rayjoin.join.broadcast import SpatialIndex
     from rayjoin.join.partitioned import partitioned_knn_join
 
     rng = np.random.default_rng(77)
     for trial in range(4):
         ns, nb = int(rng.integers(8, 40)), int(rng.integers(8, 40))
-        cells = int(rng.choice([4, 16, 64]))
         k = int(rng.integers(1, 6))
         cap = float("inf") if trial % 2 == 0 else 0.9
         small = mixed_random(ns, seed=int(rng.integers(1 << 30)))
@@ -148,10 +144,9 @@ def test_partitioned_knn_matches_broadcast():
             SpatialIndex(encode.geoms_to_table(small)).knn_join(_ds(big, 2), k=k, max_distance=cap)
         )
         par = _rows(
-            partitioned_knn_join(_ds(big, 2), _ds(small, 2), k=k, max_distance=cap,
-                                 target_cells=cells)
+            partitioned_knn_join(_ds(big, 2), _ds(small, 2), k=k, max_distance=cap)
         )
-        assert par == bro, (trial, ns, nb, cells, k, cap)
+        assert par == bro, (trial, ns, nb, k, cap)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -162,7 +157,7 @@ def test_partitioned_knn_k_exceeds_smalls():
     small = mixed_random(3, seed=5)
     big = mixed_random(10, seed=6)
     bro = _rows(SpatialIndex(encode.geoms_to_table(small)).knn_join(_ds(big, 2), k=7))
-    par = _rows(partitioned_knn_join(_ds(big, 2), _ds(small, 2), k=7, target_cells=16))
+    par = _rows(partitioned_knn_join(_ds(big, 2), _ds(small, 2), k=7))
     assert par == bro
 
 
@@ -188,81 +183,8 @@ def test_partitioned_with_geos_matches_broadcast():
     bro = rows(SpatialIndex(encode.geoms_to_table(small)).spatial_join_with_geos(
         _ds(big, 2), Interaction.INTERSECTS))
     par = rows(partitioned_spatial_join(_ds(big, 2), _ds(small, 2),
-                                        Interaction.INTERSECTS, target_cells=25,
-                                        with_geos=True))
+                                        Interaction.INTERSECTS, with_geos=True))
     assert par == bro and len(par) > 0
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_hilbert_join_matches_broadcast():
-    """The Hilbert-range partitioned join (north-star literal plan) emits
-    the broadcast row set exactly across interactions and range counts."""
-    from rayjoin.join.broadcast import SpatialIndex
-    from rayjoin.join.hilbert import hilbert_spatial_join
-
-    rng = np.random.default_rng(15)
-    for trial in range(4):
-        ns, nb = int(rng.integers(10, 45)), int(rng.integers(10, 45))
-        ranges = int(rng.choice([4, 16, 64]))
-        inter = list(Interaction)[trial % 3]
-        small = mixed_random(ns, seed=int(rng.integers(1 << 30)))
-        big = mixed_random(nb, seed=int(rng.integers(1 << 30)))
-        bro = _rows(SpatialIndex(encode.geoms_to_table(small)).spatial_join(_ds(big, 2), inter))
-        hil = _rows(
-            hilbert_spatial_join(_ds(big, 2), _ds(small, 2), inter,
-                                 num_ranges=ranges, resolution=12)
-        )
-        assert hil == bro, (trial, ns, nb, ranges, inter)
-        assert len(hil) == len(set(hil))  # exactly-once ownership
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_hilbert_join_degenerate_out_of_domain():
-    """Geometries outside the lat/lon domain clamp to edge tiles — the
-    Hilbert plan degrades to fewer effective ranges but the row set stays
-    exact (the documented behavior; the sharded broadcast is the recommended
-    plan for non-geographic planes)."""
-    from rayjoin.join.broadcast import SpatialIndex
-    from rayjoin.join.hilbert import hilbert_spatial_join
-
-    pb = pillboxes(150, seed=3, width=800.0, height=400.0)  # far outside +-180
-    t = encode.geoms_to_table(pb)
-    bro = _rows(SpatialIndex(t).spatial_join(_ds(pb, 3), Interaction.INTERSECTS))
-    hil = _rows(
-        hilbert_spatial_join(_ds(pb, 3), _ds(pb, 3), Interaction.INTERSECTS,
-                             num_ranges=16, resolution=8)
-    )
-    assert hil == bro
-    assert len(hil) == len(set(hil))
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_hilbert_hot_range_salting():
-    """Coincident-center skew (quantile boundaries cannot split one Hilbert
-    id) triggers range salting; the salted row set equals broadcast exactly
-    with no duplicates."""
-    from rayjoin.geom.spec import Rect
-    from rayjoin.join.broadcast import SpatialIndex
-    from rayjoin.join.hilbert import HilbertSpec, hilbert_spatial_join
-
-    rng = np.random.default_rng(8)
-    geoms = []
-    for i in range(300):
-        if i % 10 == 0:
-            cx, cy = rng.uniform(-5, 5, 2)
-        else:
-            cx, cy = 1.0, 1.0  # unsplittable hot spot
-        w, h = rng.uniform(0.05, 0.3, 2)
-        geoms.append(Rect(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
-    t = encode.geoms_to_table(geoms)
-    ds = _ds(geoms, 4)
-    spec = HilbertSpec.plan(ds, ds, num_ranges=16, resolution=12)
-    assert spec.salts, "skewed sample should salt at least one range"
-    hil = _rows(hilbert_spatial_join(ds, ds, Interaction.INTERSECTS,
-                                     num_ranges=16, resolution=12))
-    bro = _rows(SpatialIndex(t).spatial_join(ds, Interaction.INTERSECTS))
-    assert hil == bro
-    assert len(hil) == len(set(hil))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -292,8 +214,7 @@ def test_auto_dispatch_byte_cap_routes_datasets(monkeypatch):
 
     monkeypatch.setattr(part, "partitioned_spatial_join", spy)
     monkeypatch.setattr(auto, "DEFAULT_BROADCAST_BYTES", nb - 1)
-    got = _rows(auto.spatial_join(_ds(big, 2), small_ds, Interaction.INTERSECTS,
-                                  target_cells=25))
+    got = _rows(auto.spatial_join(_ds(big, 2), small_ds, Interaction.INTERSECTS))
     assert calls, "byte cap did not route to the partitioned plan"
     assert got == exp
 
@@ -389,18 +310,17 @@ def _parity_plans(case):
 
     if case in ("intersects", "contains", "within"):
         inter = Interaction[case.upper()]
-        return (lambda b, s: partitioned_spatial_join(b, s, inter, target_cells=36),
+        return (lambda b, s: partitioned_spatial_join(b, s, inter),
                 lambda t, b: SpatialIndex(t).spatial_join(b, inter))
     if case == "with_geos":
         return (lambda b, s: partitioned_spatial_join(b, s, Interaction.INTERSECTS,
-                                                      target_cells=36, with_geos=True),
+                                                      with_geos=True),
                 lambda t, b: SpatialIndex(t).spatial_join_with_geos(b, Interaction.INTERSECTS))
     if case == "prox":
-        # 0.6 dilation spans many of the ~0.3-wide cells of a 36-cell grid
         cfg = Config(max_distance=0.6)
-        return (lambda b, s: partitioned_proximity_map(b, s, cfg, target_cells=36),
+        return (lambda b, s: partitioned_proximity_map(b, s, cfg),
                 lambda t, b: SpatialIndex(t, cfg).proximity_map(b))
-    return (lambda b, s: partitioned_knn_join(b, s, k=3, max_distance=0.8, target_cells=36),
+    return (lambda b, s: partitioned_knn_join(b, s, k=3, max_distance=0.8),
             lambda t, b: SpatialIndex(t).knn_join(b, k=3, max_distance=0.8))
 
 
@@ -408,32 +328,6 @@ def _tuples(ds):
     df = ds.to_pandas()
     return sorted(tuple(str(v) if isinstance(v, np.ndarray) else v for v in r)
                   for r in df.itertuples(index=False))
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_sorted_blocks_colocate_cell_keys():
-    """kNN phase B's per-block kernel contract: after ``sort("cell")`` every
-    cell key lives in exactly one block, so one kernel call sees every row
-    of each of its keys."""
-    import pyarrow as pa
-
-    from rayjoin.join.partitioned import GridSpec, _replicate
-
-    big, small = _hot_inputs()
-    big_ds, small_ds = _ds(big, 16), _ds(small, 8)
-    grid = GridSpec.plan(small_ds, big_ds, target_cells=36)
-    rep = _replicate(small_ds, grid, side=0, dilate_by=0.0).union(
-        _replicate(big_ds, grid, side=1, dilate_by=0.0)
-    ).sort("cell").materialize()
-    assert rep.num_blocks() > 1
-
-    def keys(t: pa.Table) -> pa.Table:
-        u = np.unique(t["cell"].to_numpy())
-        return pa.table({"key": pa.array([u.tolist()], pa.list_(pa.int64()))})
-
-    per_block = [set(k) for k in rep.map_batches(keys, batch_format="pyarrow",
-                                                  batch_size=None).to_pandas()["key"]]
-    assert sum(len(k) for k in per_block) == len(set().union(*per_block))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -487,7 +381,7 @@ def test_partitioned_knn_disjoint_small_side_unbounded():
 
     big, _ = _hot_inputs()
     far = [Rect(50.0 + i, 50.0, 50.5 + i, 50.5) for i in range(10)]
-    got = _rows(partitioned_knn_join(_ds(big, 4), _ds(far, 2), k=2, target_cells=36))
+    got = _rows(partitioned_knn_join(_ds(big, 4), _ds(far, 2), k=2))
     exp = _rows(SpatialIndex(encode.geoms_to_table(far)).knn_join(_ds(big, 4), k=2))
     assert got == exp and len(got) == 2 * len(big)
 
@@ -592,15 +486,21 @@ def _sharded_inputs(name):
     return pb + pts, pb + pts, 40.0
 
 
-def _sharded_plans(case, max_d):
-    """(sharded, broadcast) builders; prox dilates by ``max_d``."""
+def _sharded_plans(case, max_d, knn_k=3):
+    """(sharded, broadcast) builders; prox dilates by ``max_d``; capped kNN
+    caps at an eighth of it, which leaves some big rows short of 3."""
     from rayjoin.join.broadcast import SpatialIndex
-    from rayjoin.join.partitioned import partitioned_proximity_map, partitioned_spatial_join
+    from rayjoin.join.partitioned import (partitioned_knn_join, partitioned_proximity_map,
+                                          partitioned_spatial_join)
 
     if case == "prox":
         cfg = Config(max_distance=max_d)
         return (lambda b, s: partitioned_proximity_map(b, s, cfg),
                 lambda t, b: SpatialIndex(t, cfg).proximity_map(b))
+    if case.startswith("knn"):
+        cap = max_d / 8 if case == "knn_capped" else float("inf")
+        return (lambda b, s: partitioned_knn_join(b, s, k=knn_k, max_distance=cap),
+                lambda t, b: SpatialIndex(t).knn_join(b, k=knn_k, max_distance=cap))
     inter = Interaction.INTERSECTS if case == "with_geos" else Interaction[case.upper()]
     geos = case == "with_geos"
     return (lambda b, s: partitioned_spatial_join(b, s, inter, with_geos=geos),
@@ -611,15 +511,18 @@ def _sharded_plans(case, max_d):
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("inputs", ["hot", "pillbox"])
 @pytest.mark.parametrize("k", [2, 4, 7])
-@pytest.mark.parametrize("case", ["intersects", "contains", "within", "prox", "with_geos"])
+@pytest.mark.parametrize("case", ["intersects", "contains", "within", "prox", "with_geos",
+                                  "knn", "knn_capped", "knn_deep"])
 def test_sharded_matches_broadcast(monkeypatch, case, k, inputs):
     """Forced K > 1: the sharded plan gives the broadcast rows, with small
     rows straddling the slice cuts and big rows meeting several shards'
-    dilated extents, and no pair emitted twice."""
+    dilated extents, and no pair emitted twice.  kNN runs with k=3 uncapped
+    and capped, and with k above a shard's row count."""
     from rayjoin.geom.batch import GeomBatch
 
     big, small, max_d = _sharded_inputs(inputs)
-    par, bro = _sharded_plans(case, max_d)
+    knn_k = len(small) // k + 1 if case == "knn_deep" else 3
+    par, bro = _sharded_plans(case, max_d, knn_k)
     exp = _tuples(bro(encode.geoms_to_table(small), _ds(big, 3)))
     spy = _force_shards(monkeypatch, len(small), k)
     got = _tuples(par(_ds(big, 3), _ds(small, 2)))
@@ -633,6 +536,8 @@ def test_sharded_matches_broadcast(monkeypatch, case, k, inputs):
     straddle = (sb[:, 0][:, None] < cuts) & (cuts < sb[:, 2][:, None])
     assert straddle.any(), "no small row straddles a slice cut"
     shard = np.searchsorted(cuts, (sb[:, 0] + sb[:, 2]) * 0.5, side="right")
+    if case == "knn_deep":
+        assert knn_k > np.bincount(shard).min()
     d = max_d if case == "prox" else 0.0
     met = np.zeros(len(big), np.int64)
     for i in np.unique(shard):
@@ -666,19 +571,20 @@ def test_sharded_plan_never_pulls_small_side(monkeypatch, k):
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("k", [1, 4])
 def test_sharded_plan_has_no_exchange(monkeypatch, k):
-    """The executed sharded plan is one probe map over the big side's
-    blocks: no sort and no all-to-all exchange."""
+    """The executed sharded join and kNN plans are one probe map over the
+    big side's blocks: no sort and no all-to-all exchange."""
     import ray.data
+
+    from rayjoin.join.partitioned import partitioned_knn_join, partitioned_spatial_join
 
     big, small = _hot_inputs()
     t = encode.geoms_to_table(big)
     big_ds = ray.data.from_arrow([t.slice(0, 100), t.slice(100)])
     small_ds = ray.data.from_arrow(encode.geoms_to_table(small))
     _force_shards(monkeypatch, len(small), k)
-    from rayjoin.join.partitioned import partitioned_spatial_join
-
-    out = partitioned_spatial_join(big_ds, small_ds, Interaction.INTERSECTS).materialize()
-    stats = out.stats()
-    assert "probe_fn" in stats
-    for op in ("Sort", "AllToAll", "Repartition", "Aggregate", "Shuffle"):
-        assert op not in stats, op
+    for out in (partitioned_spatial_join(big_ds, small_ds, Interaction.INTERSECTS),
+                partitioned_knn_join(big_ds, small_ds, k=3)):
+        stats = out.materialize().stats()
+        assert "probe_fn" in stats
+        for op in ("Sort", "AllToAll", "Repartition", "Aggregate", "Shuffle"):
+            assert op not in stats, op

@@ -31,7 +31,7 @@ def run_lag(ids, x, y, vals, d, **kw):
     vt = ray.data.from_arrow(pa.table({
         "row_id": pa.array(ids, pa.int64()),
         "val": pa.array(vals, pa.int64())})).repartition(2)
-    out = spatial_lag(pts, vt, max_distance=d, target_cells=16, **kw).to_pandas()
+    out = spatial_lag(pts, vt, max_distance=d, **kw).to_pandas()
     return out.sort_values("row_id").reset_index(drop=True)
 
 
@@ -74,7 +74,7 @@ def test_local_moran_matches_brute(ray_session):
     vt = ray.data.from_arrow(pa.table({
         "row_id": pa.array(ids, pa.int64()),
         "val": pa.array(vals, pa.int64())}))
-    out = (local_moran(pts, vt, max_distance=d, target_cells=16)
+    out = (local_moran(pts, vt, max_distance=d)
            .to_pandas().sort_values("row_id").reset_index(drop=True))
     assert np.array_equal(out["nbrs"].to_numpy(), nbrs)
     assert np.array_equal(out["z_num"].to_numpy(), want_z)
@@ -98,7 +98,7 @@ def test_getis_ord_matches_brute(ray_session):
     vt = ray.data.from_arrow(pa.table({
         "row_id": pa.array(ids, pa.int64()),
         "val": pa.array(vals, pa.int64())}))
-    out = (getis_ord(pts, vt, max_distance=d, target_cells=16)
+    out = (getis_ord(pts, vt, max_distance=d)
            .to_pandas().sort_values("row_id").reset_index(drop=True))
     assert np.array_equal(out["w_star"].to_numpy(), w_star)
     assert np.array_equal(out["g_num"].to_numpy(), g_num)
@@ -117,7 +117,7 @@ def test_ripley_k_matches_brute_and_zero_radii(ray_session):
     want = [int(((dist <= r) & off).sum()) for r in radii]
 
     pts = ray.data.from_arrow(points_geom(ids, x, y)).repartition(3)
-    out = (ripley_k(pts, radii=radii, target_cells=16)
+    out = (ripley_k(pts, radii=radii)
            .to_pandas().sort_values("r_code").reset_index(drop=True))
     assert out["r_code"].tolist() == [1, 2, 3, 4]
     assert out["radius"].tolist() == list(radii)

@@ -92,7 +92,7 @@ def stress_pbsm() -> dict:
 
     P, R = _points_and_rects()
     t0 = time.time()
-    n = partitioned_spatial_join(P, R, Interaction.CONTAINS, target_cells=1024).count()
+    n = partitioned_spatial_join(P, R, Interaction.CONTAINS).count()
     dt = time.time() - t0
     return {"stress": "pbsm", "joined_rows": n, "sec": round(dt, 1),
             "joined_rows_per_sec": round(n / dt), "probe_rows_per_sec": round(2_000_000 / dt)}
@@ -103,7 +103,7 @@ def stress_knn() -> dict:
 
     P, R = _points_and_rects()
     t0 = time.time()
-    n = partitioned_knn_join(P, R, k=2, target_cells=1024).count()
+    n = partitioned_knn_join(P, R, k=2).count()
     dt = time.time() - t0
     return {"stress": "knn", "rows": n, "expected": 4_000_000, "sec": round(dt, 1),
             "bigs_per_sec": round(2_000_000 / dt)}
@@ -1012,7 +1012,7 @@ def stress_dbscan(n: int = 1_000_000) -> dict:
     n = k.size
     pts = ray.data.from_arrow(points_geom(k, x, y)).repartition(64).materialize()
     t0 = time.time()
-    res = dbscan(pts, eps=0.06, min_pts=4, target_cells=4096)
+    res = dbscan(pts, eps=0.06, min_pts=4)
     agg = res.map_batches(
         lambda t: pa.table({
             "core": [int(pc.sum(pc.cast(t["is_core"], pa.int64())).as_py() or 0)],
