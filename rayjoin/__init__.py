@@ -9,7 +9,7 @@ join semantics of the reference crate msalib/spatial-join (see SURVEY.md):
 - kNN joins (new engine scope; ties broken by (distance, small_row_id)),
 - geocoding + hierarchical quadtree/Hilbert tiling for Common-Crawl-style
   Parquet page corpora,
-- skew-aware spatial partitioning (sampled Hilbert ranges, hot-cell split),
+- skew-aware spatial partitioning (sampled Hilbert ranges),
 - checkpoint manifests with per-partition lineage.
 
 Reference semantics: /root/reference/src/{index.rs,relates_impl.rs,gen.py}.
@@ -72,11 +72,11 @@ __all__ = [
     "Interaction",
     "SpatialJoinError",
     "SpatialIndex",
-    # auto-dispatching frontends (plan picked by small-side size)
+    # join frontends over SpatialIndex (the only plan choice: shard count K)
     "spatial_join",
     "proximity_map",
     "knn_join",
-    # explicit physical plans
+    # the same joins with whole-block probes, for two large sides
     "partitioned_spatial_join",
     "partitioned_proximity_map",
     "partitioned_knn_join",

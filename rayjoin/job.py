@@ -97,14 +97,14 @@ def run_job(sf_dir: str, out_dir: str, resolution: int = 10, shards: int = 8,
     import ray
 
     from rayjoin.checkpoint import run_partitioned
-    from rayjoin.join.broadcast import build_index
+    from rayjoin.join.broadcast import BroadcastIndex
     from rayjoin.pipelines.gate import rects_geom_table, tris_geom_table
 
     # region layer: supplier rects + part triangles (ids disjoint)
     tris = tris_geom_table(sf_dir)
     tris = tris.set_column(0, "row_id", pa.compute.add(tris["row_id"], 1_000_000))
     regions = pa.concat_tables([rects_geom_table(sf_dir), tris], promote_options="default")
-    index_ref = build_index(regions)
+    index_ref = ray.put(BroadcastIndex(regions))
     shard_task = ray.remote(_shard_body)
 
     def compute(part: str) -> pa.Table:

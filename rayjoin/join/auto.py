@@ -1,168 +1,41 @@
-"""Auto-dispatching join frontend: one call, the engine picks the plan.
+"""Join frontend: one call per join, over the one plan of ``SpatialIndex``.
 
-- small side under ``broadcast_threshold_rows`` -> broadcast STR index +
-  streaming probe (the reference's only mode, fastest when it fits);
-- otherwise -> the partitioned plan: a sharded broadcast for joins and
-  proximity maps and kNN (the small side cut into K STR x-slices sized by
-  these same two caps, each shard indexed in a task, the big side streamed
-  past the shards it meets), which never materializes a side in one
-  process.
-
-Both plans produce the identical row set (tested), so the switch is purely
-physical — the 100 TB pipeline calls these entry points and lets the
-engine decide per stage.
+Each function indexes the small side (``SpatialIndex`` sets the shard count
+K from its rows and bytes) and probes the big side against it.  The only
+plan choice is K, so these are thin calls; ``spatial_anti_join`` adds the
+subtraction of matched ids on top of the join.
 """
 
 from __future__ import annotations
 
 from ..config import Config, Interaction
-
-DEFAULT_BROADCAST_ROWS = 2_000_000
-# object-store guardrail: even under the row threshold, a small side whose
-# serialized bytes exceed this goes to the partitioned plan (a broadcast
-# index must fit every worker's share of the object store)
-DEFAULT_BROADCAST_BYTES = 2 << 30
+from .broadcast import SpatialIndex
 
 
-def _bytes_of(ds) -> int | None:
-    """Serialized size estimate — exact for in-memory tables, METADATA-ONLY
-    for Datasets (file-backed reads, from_arrow and materialized datasets
-    answer for free; anything else degrades to None rather than the
-    execute-the-plan fallback hidden inside ``Dataset.size_bytes`` —
-    VERDICT r4 #4: the 2 GiB broadcast-bytes cap now protects Dataset
-    inputs too, not just ``pa.Table``)."""
-    import pyarrow as pa
-
-    from ..util import meta_size_bytes
-
-    if isinstance(ds, pa.Table):
-        return ds.nbytes
-    if isinstance(ds, (list, tuple)):
-        return None
-    return meta_size_bytes(ds)
+def spatial_join(big, small, interaction: Interaction, config: Config = Config()):
+    """Dataset[big_row_id, small_row_id]."""
+    return SpatialIndex(small, config).spatial_join(big, interaction)
 
 
-# Probe results keyed on the (immutable) Dataset object, weakly so cached
-# entries die with the dataset (VERDICT r4 #7: a dispatch must never execute
-# the same upstream twice just to re-learn its row count).  Value is
-# (probed_threshold, count): count <= probed_threshold means the probe hit
-# the end of the stream and the count is EXACT (valid for any threshold);
-# count == probed_threshold + 1 is only the lower bound "above
-# probed_threshold", reusable for thresholds <= probed_threshold.
-import weakref
-
-_PROBE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+def proximity_map(big, small, config: Config):
+    """Dataset[big_row_id, small_row_id, distance]; inclusive threshold."""
+    return SpatialIndex(small, config).proximity_map(big)
 
 
-def _rows_of(ds, threshold: int = DEFAULT_BROADCAST_ROWS) -> int:
-    """Row count for plan selection.  For Datasets, prefer the metadata
-    count (free for file-backed inputs, guarded against the private API
-    disappearing — ADVICE r2); when metadata can't answer, we only need to
-    know which SIDE of ``threshold`` the count falls on, so probe with
-    ``limit(threshold + 1).count()`` — streaming execution stops after
-    threshold+1 rows instead of executing (and later re-executing for the
-    join itself) the whole upstream pipeline.  The probe result is cached
-    per Dataset object, so back-to-back dispatches over the same upstream
-    probe at most once.  Callers with expensive inputs should still pass
-    ``small_rows_hint``."""
-    import pyarrow as pa
-
-    from ..util import meta_row_count
-
-    if isinstance(ds, pa.Table):
-        return ds.num_rows
-    if isinstance(ds, (list, tuple)):
-        return len(ds)
-    n = meta_row_count(ds)
-    if n is not None:
-        return n
-    try:
-        cached = _PROBE_CACHE.get(ds)
-    except TypeError:  # un-weakref-able / unhashable dataset wrapper
-        cached = None
-    if cached is not None:
-        probed_thr, cnt = cached
-        if cnt <= probed_thr:  # exact count: probe reached end of stream
-            return cnt
-        if threshold <= probed_thr:  # truncated, but already above threshold
-            return cnt
-    n = ds.limit(threshold + 1).count()
-    try:
-        prev = _PROBE_CACHE.get(ds)
-        if prev is None or threshold > prev[0]:
-            _PROBE_CACHE[ds] = (threshold, n)
-    except TypeError:
-        pass
-    return n
+def knn_join(big, small, k: int, max_distance: float = float("inf")):
+    """Dataset[big_row_id, small_row_id, distance, rank]; ties (distance,
+    small_row_id)."""
+    return SpatialIndex(small).knn_join(big, k=k, max_distance=max_distance)
 
 
-def _as_dataset(x):
-    import pyarrow as pa
-    import ray.data
-
-    from .broadcast import _to_table
-
-    if isinstance(x, (list, tuple, pa.Table)):
-        return ray.data.from_arrow(_to_table(x))
-    return x
-
-
-def spatial_join(big, small, interaction: Interaction, config: Config = Config(),
-                 broadcast_threshold_rows: int = DEFAULT_BROADCAST_ROWS,
-                 small_rows_hint: int | None = None, **kwargs):
-    """Dataset[big_row_id, small_row_id]; plan picked by small-side size."""
-    from .broadcast import SpatialIndex
-    from .partitioned import partitioned_spatial_join
-
-    n = small_rows_hint if small_rows_hint is not None else _rows_of(small, broadcast_threshold_rows)
-    nb = None if small_rows_hint is not None else _bytes_of(small)
-    if n <= broadcast_threshold_rows and (nb is None or nb <= DEFAULT_BROADCAST_BYTES):
-        return SpatialIndex(small, config, **kwargs).spatial_join(big, interaction)
-    return partitioned_spatial_join(_as_dataset(big), _as_dataset(small), interaction, config)
-
-
-def proximity_map(big, small, config: Config,
-                  broadcast_threshold_rows: int = DEFAULT_BROADCAST_ROWS,
-                  small_rows_hint: int | None = None, **kwargs):
-    """Dataset[big_row_id, small_row_id, distance]; plan picked by size."""
-    from .broadcast import SpatialIndex
-    from .partitioned import partitioned_proximity_map
-
-    n = small_rows_hint if small_rows_hint is not None else _rows_of(small, broadcast_threshold_rows)
-    nb = None if small_rows_hint is not None else _bytes_of(small)
-    if n <= broadcast_threshold_rows and (nb is None or nb <= DEFAULT_BROADCAST_BYTES):
-        return SpatialIndex(small, config, **kwargs).proximity_map(big)
-    return partitioned_proximity_map(_as_dataset(big), _as_dataset(small), config)
-
-
-def knn_join(big, small, k: int, max_distance: float = float("inf"),
-             broadcast_threshold_rows: int = DEFAULT_BROADCAST_ROWS,
-             small_rows_hint: int | None = None, **kwargs):
-    """Dataset[big_row_id, small_row_id, distance, rank]; broadcast kNN when
-    the small side fits, the sharded broadcast otherwise."""
-    from .broadcast import SpatialIndex
-    from .partitioned import partitioned_knn_join
-
-    n = small_rows_hint if small_rows_hint is not None else _rows_of(small, broadcast_threshold_rows)
-    nb = None if small_rows_hint is not None else _bytes_of(small)
-    if n <= broadcast_threshold_rows and (nb is None or nb <= DEFAULT_BROADCAST_BYTES):
-        return SpatialIndex(small, **kwargs).knn_join(big, k=k, max_distance=max_distance)
-    return partitioned_knn_join(_as_dataset(big), _as_dataset(small), k=k,
-                                max_distance=max_distance)
-
-
-def spatial_anti_join(big, small, interaction: Interaction,
-                      config: Config = Config(),
-                      broadcast_threshold_rows: int = DEFAULT_BROADCAST_ROWS,
-                      small_rows_hint: int | None = None, **kwargs):
+def spatial_anti_join(big, small, interaction: Interaction, config: Config = Config()):
     """Spatial ANTI join: Dataset[big_row_id] of big rows with NO small
     partner under ``interaction`` (points outside every service area, docs
     matching no geofence).
 
     Plan — subtract the matching join, never re-scan with NOT EXISTS: the
-    positive join runs through the normal dispatch (broadcast index or
-    sharded broadcast by small-side size), per-batch partials collapse its
-    pair bag to distinct matched ids, the big side contributes one
+    positive join runs through ``spatial_join``, per-batch partials collapse
+    its pair bag to distinct matched ids, the big side contributes one
     zero-count row per row_id (a column-pruned scan), and ONE groupby keeps
     ids whose match count stayed zero.  Matched-pair volume never lands on
     the driver and the anti set is exact even when a big row matches in
@@ -171,10 +44,14 @@ def spatial_anti_join(big, small, interaction: Interaction,
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
+    import ray.data
     from ray.data.aggregate import Sum
 
-    pairs = spatial_join(big, small, interaction, config,
-                         broadcast_threshold_rows, small_rows_hint, **kwargs)
+    from .broadcast import _to_table
+
+    if isinstance(big, (list, tuple, pa.Table)):
+        big = ray.data.from_arrow(_to_table(big))
+    pairs = spatial_join(big, small, interaction, config)
 
     def matched(t: pa.Table) -> pa.Table:
         ids = np.asarray(t["big_row_id"].combine_chunks(), dtype=np.int64)
@@ -188,7 +65,7 @@ def spatial_anti_join(big, small, interaction: Interaction,
         return pa.table({"big_row_id": ids,
                          "n": pa.repeat(pa.scalar(0, pa.int64()), len(ids))})
 
-    bag = (_as_dataset(big).map_batches(zeros, batch_format="pyarrow")
+    bag = (big.map_batches(zeros, batch_format="pyarrow")
            .union(pairs.map_batches(matched, batch_format="pyarrow")))
     tot = bag.groupby("big_row_id").aggregate(Sum("n", alias_name="n"))
 

@@ -1,32 +1,12 @@
-"""Partitioned spatial joins: the plans for a small side too big to
-broadcast whole.
+"""Partitioned spatial joins: the join, proximity map and kNN of
+``SpatialIndex`` with whole-block probes, for two large sides.
 
-The reference indexes the small side once and probes every big geometry
-against it (the reference's src/lib.rs:196-203); the no-partition join wins
-whenever its build side fits (*To Partition, or Not to Partition*, SIGMOD
-2021).  When one index would not fit, the small side is cut into K shards
-and only the small side ever moves.  Join, proximity map and kNN share this
-one sharded broadcast plan:
-
-1. **Shard count.** The small side is materialized; its metadata gives
-   exact rows and bytes, and ``K = max(1, ceil(rows / DEFAULT_BROADCAST_ROWS),
-   ceil(bytes / DEFAULT_BROADCAST_BYTES))`` (``rayjoin.join.auto``).  For
-   K > 1 the shards are STR x-slices cut at quantiles of sampled bbox-center
-   x; each small row goes to exactly one shard, so there is no replication,
-   no reference-point rule and no deduplication.
-2. **Build in tasks.** One Ray task per shard builds a ``BroadcastIndex``
-   (boxes dilated by ``max_distance``); its return value is the
-   object-store copy.  The driver holds only K refs and K dilated tree
-   extents, never a small-side table.
-3. **Probe.** The big side streams through ``map_batches`` over whole
-   blocks with the broadcast probe body (``broadcast.probe_fn``): decode and
-   validate a block once, then probe the shards the rows may meet, the
-   worker's cached shard first.  Join and prox probe each shard with just
-   the rows that meet its extent.  kNN probes each row's nearest shard
-   first, then only the shards whose box gap is within the row's kth
-   distance found so far, so a row's k nearest neighbours are all found
-   inside its own block's probe and the plan has no exchange.  Per-worker
-   memory is one resident shard.  With K = 1 this is the broadcast probe.
+The plan is the one plan of ``rayjoin.join.broadcast``: the small side is
+cut into K STR x-slice shards by its rows and bytes, each shard of a
+``Dataset`` small side is indexed in a task, and the big side streams past
+the shards it meets.  Each function passes ``batch_size=None``, so the
+probe decodes a whole block once, and keeps the small side's geometry table
+only for ``with_geos``.  With K = 1 it is the broadcast probe.
 
 The output row set is EXACTLY the broadcast path's (tested side by side).
 """
@@ -34,52 +14,12 @@ The output row set is EXACTLY the broadcast path's (tested side by side).
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-import ray
-import ray.data
 
 from ..config import Config, Interaction
-from ..geom.batch import GeomBatch
-from ..util import meta_row_count, meta_size_bytes
-from . import auto
-from .broadcast import BroadcastIndex, _empty_result, concat_blocks, probe_fn
-
-
-def _sample_extent(ds, frac: float = 0.1, seed: int = 42, cap: int = 1_000_000):
-    """Seeded bbox sample with O(1) driver memory at ANY input size
-    (VERDICT r2 #1): the fraction is scaled down when Dataset metadata
-    knows the row count (unbiased sample), and a streaming ``limit(cap)``
-    is the hard backstop when it doesn't.  Plans only affect performance,
-    never the join's output row set, so a front-biased fallback sample is
-    safe; at 10^11 rows the old fraction-based pull was an unbounded
-    driver materialization."""
-    from ..util import bounded_sample_frac
-
-    def bboxes(t: pa.Table) -> pa.Table:
-        g = GeomBatch.from_arrow(t)
-        return pa.table(
-            {
-                "xmin": pa.array(g.bbox[:, 0]),
-                "ymin": pa.array(g.bbox[:, 1]),
-                "xmax": pa.array(g.bbox[:, 2]),
-                "ymax": pa.array(g.bbox[:, 3]),
-            }
-        )
-
-    eff = bounded_sample_frac(frac, meta_row_count(ds), cap)
-    # limit after the bbox map: between them it split the sample and the
-    # map into two tasks per block
-    df = (ds.random_sample(eff, seed=seed)
-          .map_batches(bboxes, batch_format="pyarrow")
-          .limit(cap)
-          .to_pandas())
-    if df.empty:
-        df = ds.limit(1000).map_batches(bboxes, batch_format="pyarrow").to_pandas()
-    return df
+from .broadcast import SpatialIndex, _sample_extent
 
 
 class GridSpec:
@@ -133,86 +73,31 @@ class GridSpec:
         return GridSpec(bx, by)
 
 
-# ---------------------------------------------------------------------------
-# sharded broadcast
-# ---------------------------------------------------------------------------
-
-# sampled small rows behind the shard cuts: quantiles of 100k centers put
-# each cut within a fraction of a percent of its target rank
-_SHARD_SAMPLE = 100_000
-
-
-def _shard_of(t: pa.Table, cuts: np.ndarray) -> np.ndarray:
-    """Shard of each row: its x-slice by bbox-center x."""
-    bb = GeomBatch.from_arrow(t).bbox
-    return np.searchsorted(cuts, (bb[:, 0] + bb[:, 2]) * 0.5, side="right")
-
-
-@ray.remote(num_returns=2)
-def _build_shard(config: Config, keep_table: bool, cuts: Optional[np.ndarray], shard: int,
-                 *blocks: pa.Table):
-    """Build task of one shard: the ``BroadcastIndex`` over the small rows of
-    x-slice ``shard`` (every row when ``cuts`` is None), and its dilated tree
-    extent (None for an empty shard)."""
-    if cuts is not None:
-        blocks = [t.filter(pa.array(_shard_of(t, cuts) == shard)) for t in blocks if t.num_rows]
-    index = BroadcastIndex(concat_blocks(blocks), config, keep_table)
-    return index, (tuple(map(float, index.tree.root)) if index.batch.n else None)
-
-
-def _sharded(big, small, config: Config, seed: int, mode: str, with_geos: bool = False,
-             **probe):
-    """Build the small side's shards in tasks and stream the big side's
-    whole blocks through the shared probe body; ``probe`` holds the mode's
-    own ``probe_fn`` arguments."""
-    if meta_row_count(big) == 0:
-        return ray.data.from_arrow(_empty_result(mode, with_geos))
-    small = small.materialize()
-    n_shards = max(1, math.ceil((meta_row_count(small) or 0) / auto.DEFAULT_BROADCAST_ROWS),
-                   math.ceil((meta_size_bytes(small) or 0) / auto.DEFAULT_BROADCAST_BYTES))
-    cuts = None
-    if n_shards > 1:
-        df = _sample_extent(small, 1.0, seed, _SHARD_SAMPLE)
-        cx = ((df["xmin"] + df["xmax"]) * 0.5).to_numpy()
-        cuts = np.unique(np.quantile(cx, np.linspace(0.0, 1.0, n_shards + 1)[1:-1]))
-    blocks = small.to_arrow_refs()
-    built = [_build_shard.remote(config, with_geos, cuts, i, *blocks)
-             for i in range(1 if cuts is None else cuts.size + 1)]
-    if cuts is None:
-        shards = ((built[0][0], None),)
-    else:
-        extents = ray.get([ext for _, ext in built])
-        shards = tuple((ref, ext) for (ref, _), ext in zip(built, extents) if ext is not None)
-    return big.map_batches(
-        probe_fn, batch_format="pyarrow", batch_size=None,
-        fn_kwargs={"shards": shards, "mode": mode, "with_geos": with_geos, **probe})
-
-
 def partitioned_spatial_join(big, small, interaction: Interaction,
                              config: Config = Config(), target_cells: int = 256,
-                             seed: int = 42, with_geos: bool = False):
-    """Dataset[big_row_id, small_row_id] — same rows as the broadcast path,
-    through the sharded broadcast plan.  ``with_geos=True`` clones both
-    geometry payloads into each output row (the partitioned twin of
-    ``spatial_join_with_geos``).  ``target_cells`` is ignored: no plan
-    reads it, and it is accepted only for callers that still pass it.
-    ``seed`` seeds the shard sample."""
-    return _sharded(big, small, config, seed, "join", with_geos, interaction=interaction)
+                             with_geos: bool = False):
+    """Dataset[big_row_id, small_row_id] — same rows as the broadcast path.
+    ``with_geos=True`` clones both geometry payloads into each output row
+    (the partitioned twin of ``spatial_join_with_geos``).  ``target_cells``
+    is ignored: no plan reads it, and it is accepted only for callers that
+    still pass it."""
+    index = SpatialIndex(small, config, batch_size=None, keep_table=with_geos)
+    return (index.spatial_join_with_geos(big, interaction) if with_geos
+            else index.spatial_join(big, interaction))
 
 
-def partitioned_proximity_map(big, small, config: Config, seed: int = 42,
-                              with_geos: bool = False):
-    """Dataset[big_row_id, small_row_id, distance] — same rows as broadcast,
-    through the sharded broadcast plan."""
-    return _sharded(big, small, config, seed, "prox", with_geos)
+def partitioned_proximity_map(big, small, config: Config, with_geos: bool = False):
+    """Dataset[big_row_id, small_row_id, distance] — same rows as broadcast."""
+    index = SpatialIndex(small, config, batch_size=None, keep_table=with_geos)
+    return index.proximity_map_with_geos(big) if with_geos else index.proximity_map(big)
 
 
-def partitioned_knn_join(big, small, *, k: int, max_distance: float = float("inf"),
-                         seed: int = 42):
+def partitioned_knn_join(big, small, *, k: int, max_distance: float = float("inf")):
     """Dataset[big_row_id, small_row_id, distance, rank] — bit-exact vs the
     broadcast ``knn_join`` (same distance kernel, same (distance,
-    small_row_id) tie rule; tested side by side), through the sharded
-    broadcast plan with undilated shard indexes.  Each row's k nearest
-    neighbours come out of its own block's probe (``broadcast._knn_sharded``),
-    so there is no exchange and no cross-block merge."""
-    return _sharded(big, small, Config(), seed, "knn", k=k, max_distance=max_distance)
+    small_row_id) tie rule; tested side by side), over undilated shard
+    indexes.  Each row's k nearest neighbours come out of its own block's
+    probe (``broadcast._knn_sharded``), so there is no exchange and no
+    cross-block merge."""
+    index = SpatialIndex(small, Config(), batch_size=None, keep_table=False)
+    return index.knn_join(big, k=k, max_distance=max_distance)

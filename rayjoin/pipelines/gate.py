@@ -159,15 +159,14 @@ def q_sjoin_point_in_rect_partitioned(sf_dir: str):
 def q_sjoin_uncovered(sf_dir: str):
     """Spatial ANTI join (join/auto.py:spatial_anti_join): customer points
     inside NO supplier rect — the positive join's pair bag is subtracted
-    via zero-union + one groupby, never a NOT-EXISTS re-scan.  Forced
-    through the partitioned tier (broadcast_threshold_rows=0) so the gate
-    certifies the two-large-sides anti plan."""
+    via zero-union + one groupby, never a NOT-EXISTS re-scan.  The rects
+    come as a two-block Dataset, so the join's index is built in a task
+    from the block refs, never on the driver."""
     from ..join.auto import spatial_anti_join
 
     rects = _from_arrow(rects_geom_table(sf_dir), 2)
     pts = _from_arrow(points_geom_table(sf_dir, "customer", "c_custkey"))
-    return spatial_anti_join(pts, rects, Interaction.CONTAINS,
-                             broadcast_threshold_rows=0)
+    return spatial_anti_join(pts, rects, Interaction.CONTAINS)
 
 
 SQL_UNCOVERED = """

@@ -16,3 +16,33 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+class _BuildSpy:
+    """Stands in for ``broadcast._build_shard``: records each build task's
+    cuts (None for a one-shard build)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.cuts = []
+
+    def remote(self, config, keep_table, radius_col, cuts, shard, *blocks):
+        self.cuts.append(cuts)
+        return self.fn.remote(config, keep_table, radius_col, cuts, shard, *blocks)
+
+
+@pytest.fixture
+def force_shards(monkeypatch):
+    """``force_shards(n, k)`` shrinks a shard cap so a small side of ``n``
+    rows (``by="rows"``) or ``n`` bytes (``by="bytes"``) makes ``k`` shards,
+    and returns a spy on the shard build tasks started from then on."""
+    import rayjoin.join.broadcast as broadcast
+
+    def force(n: int, k: int, by: str = "rows") -> _BuildSpy:
+        cap = {"rows": "DEFAULT_BROADCAST_ROWS", "bytes": "DEFAULT_BROADCAST_BYTES"}[by]
+        monkeypatch.setattr(broadcast, cap, -(-n // k))
+        spy = _BuildSpy(broadcast._build_shard)
+        monkeypatch.setattr(broadcast, "_build_shard", spy)
+        return spy
+
+    return force

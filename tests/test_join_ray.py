@@ -217,9 +217,9 @@ def test_knn_join_linestring_small_side_nearest_road():
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("force_pbsm", [False, True])
-def test_spatial_anti_join_vs_oracle(force_pbsm):
-    """Anti join = big ids minus the oracle's matched ids, identical
-    through both dispatch tiers (broadcast and forced PBSM)."""
+def test_spatial_anti_join_vs_oracle(force_shards, force_pbsm):
+    """Anti join = big ids minus the oracle's matched ids, identical with
+    one shard and with forced K = 2."""
     from rayjoin.join.auto import spatial_anti_join
 
     small = mixed_random(40, seed=31)
@@ -229,11 +229,13 @@ def test_spatial_anti_join_vs_oracle(force_pbsm):
     exp = sorted(set(range(len(big))) - matched)
     assert exp and matched  # non-vacuous both ways
 
-    kw = {"broadcast_threshold_rows": 0} if force_pbsm else {}
+    spy = force_shards(len(small), 2) if force_pbsm else None
     out = spatial_anti_join(
-        _ds(big), encode.geoms_to_table(small), Interaction.INTERSECTS, **kw
+        _ds(big), encode.geoms_to_table(small), Interaction.INTERSECTS
     ).to_pandas()
     assert sorted(out.big_row_id.tolist()) == exp
+    if spy is not None:
+        assert len(spy.cuts) == 2
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -292,3 +294,28 @@ def test_prox_varradius_negative_radius_raises():
         "radius", pa.array([1.0, -0.5, 2.0, 0.0, 3.0], pa.float64()))
     with pytest.raises(BadMaxDistance):
         SpatialIndex(st, Config(), radius_col="radius")
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("k", [1, 2])
+def test_build_errors_raise_at_construction(force_shards, k):
+    """An in-memory small side raises its build errors from the
+    ``SpatialIndex`` constructor, with one shard (built on the driver) and
+    with forced K = 2 (built in tasks: Ray's ``RayTaskError(cause)`` is an
+    instance of the cause)."""
+    import pyarrow as pa
+
+    from rayjoin.config import BadMaxDistance, LineStringTooSmall
+    from rayjoin.geom.spec import LineString
+    from rayjoin.join.broadcast import SpatialIndex
+
+    short = encode.geoms_to_table(mixed_random(5, seed=61) + [LineString(((0.0, 0.0),))])
+    radius = encode.geoms_to_table(mixed_random(6, seed=62)).append_column(
+        "radius", pa.array([1.0, 0.5, -0.5, 2.0, 0.0, 3.0], pa.float64()))
+    spy = force_shards(6, k) if k > 1 else None
+    with pytest.raises(LineStringTooSmall):
+        SpatialIndex(short)
+    with pytest.raises(BadMaxDistance):
+        SpatialIndex(radius, Config(), radius_col="radius")
+    if spy is not None:  # both sides were built in K tasks
+        assert len(spy.cuts) == 2 * k

@@ -103,26 +103,22 @@ def test_partitioned_equals_broadcast_randomized():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_auto_dispatch():
+def test_auto_dispatch(force_shards):
+    """auto's join and proximity map give the oracle rows with one shard and
+    with forced K = 2."""
     from rayjoin.join.auto import proximity_map, spatial_join
 
     small = mixed_random(25, seed=91)
     big = mixed_random(25, seed=92)
-    from rayjoin.oracle import slow_spatial_join
-
     exp = [tuple(r) for r in slow_spatial_join(small, big, Interaction.INTERSECTS)]
-    # broadcast route (default threshold)
-    got_b = _rows(spatial_join(_ds(big, 2), _ds(small, 2), Interaction.INTERSECTS))
-    # forced partitioned route (threshold 0)
-    got_p = _rows(
-        spatial_join(_ds(big, 2), _ds(small, 2), Interaction.INTERSECTS,
-                     broadcast_threshold_rows=0)
-    )
-    assert got_b == exp and got_p == exp
+    got_1 = _rows(spatial_join(_ds(big, 2), _ds(small, 2), Interaction.INTERSECTS))
+    spy = force_shards(len(small), 2)
+    got_2 = _rows(spatial_join(_ds(big, 2), _ds(small, 2), Interaction.INTERSECTS))
+    assert got_1 == exp and got_2 == exp
     exp2 = [tuple(r) for r in slow_prox_map(small, big, 0.5)]
-    got2 = _rows(proximity_map(_ds(big, 2), _ds(small, 2), Config(max_distance=0.5),
-                               broadcast_threshold_rows=0))
+    got2 = _rows(proximity_map(_ds(big, 2), _ds(small, 2), Config(max_distance=0.5)))
     assert got2 == exp2
+    assert len(spy.cuts) == 4 and all(c is not None for c in spy.cuts)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -188,101 +184,27 @@ def test_partitioned_with_geos_matches_broadcast():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_auto_dispatch_byte_cap_routes_datasets(monkeypatch):
-    """VERDICT r4 #4: the broadcast-bytes guardrail must protect DATASET
-    small sides too — metadata byte size (never an execute-the-plan
-    fallback) routes an over-cap side to the partitioned plan, and both
-    plans still produce the identical row set."""
-    import rayjoin.join.auto as auto
-    import rayjoin.join.partitioned as part
-    from rayjoin.join.auto import _bytes_of
-    from rayjoin.oracle import slow_spatial_join
+@pytest.mark.parametrize("small_kind", ["dataset", "table"])
+def test_byte_cap_sets_shard_count(force_shards, small_kind):
+    """The byte cap alone sets K >= 2, for a Dataset small side (its
+    metadata bytes, never an execution of the plan) and for a table; the
+    sharded join keeps the oracle rows."""
+    from rayjoin.join import auto
+    from rayjoin.util import meta_size_bytes
 
     small = mixed_random(25, seed=91)
     big = mixed_random(25, seed=92)
-    small_ds = _ds(small, 2)
-    nb = _bytes_of(small_ds)
-    assert nb is not None and nb > 0  # from_arrow metadata answers for free
-
-    exp = [tuple(r) for r in slow_spatial_join(small, big, Interaction.INTERSECTS)]
-    calls = []
-    orig = part.partitioned_spatial_join
-
-    def spy(*a, **kw):
-        calls.append(1)
-        return orig(*a, **kw)
-
-    monkeypatch.setattr(part, "partitioned_spatial_join", spy)
-    monkeypatch.setattr(auto, "DEFAULT_BROADCAST_BYTES", nb - 1)
-    got = _rows(auto.spatial_join(_ds(big, 2), small_ds, Interaction.INTERSECTS))
-    assert calls, "byte cap did not route to the partitioned plan"
-    assert got == exp
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_rows_probe_cached_single_execution():
-    """VERDICT r4 #7: when plan selection must probe an un-metadata'd
-    upstream with limit(threshold+1).count(), the result is cached per
-    Dataset object — a second dispatch over the same upstream must NOT
-    execute it again (asserted via a counting map stage)."""
-    import pyarrow as pa
-    import ray
-    import ray.data
-
-    from rayjoin.join import auto
-    from rayjoin.util import meta_row_count
-
-    @ray.remote
-    class Counter:
-        def __init__(self):
-            self.n = 0
-
-        def inc(self):
-            self.n += 1
-
-        def get(self):
-            return self.n
-
-    c = Counter.remote()
-
-    def bump(b):
-        ray.get(c.inc.remote())
-        return b
-
-    t = pa.table({"x": pa.array(np.arange(1000, dtype=np.int64))})
-    ds = ray.data.from_arrow(t).map_batches(bump, batch_format="pyarrow", batch_size=500)
-    assert meta_row_count(ds) is None  # else the probe path isn't exercised
-
-    n1 = auto._rows_of(ds, 10_000)
-    execs = ray.get(c.get.remote())
-    assert n1 == 1000 and execs >= 1
-    # exact count cached: any further threshold answers without execution
-    assert auto._rows_of(ds, 10_000) == 1000
-    assert auto._rows_of(ds, 5) == 1000
-    assert ray.get(c.get.remote()) == execs
-
-    # truncated probe: small threshold gives only a lower bound...
-    c2 = Counter.remote()
-
-    def bump2(b):
-        ray.get(c2.inc.remote())
-        return b
-
-    ds2 = ray.data.from_arrow(t).map_batches(bump2, batch_format="pyarrow", batch_size=100)
-    lo = auto._rows_of(ds2, 50)
-    assert lo > 50  # above threshold, exact value is plan-dependent
-    e1 = ray.get(c2.get.remote())
-    # ...reusable for any threshold <= probed one, no re-execution
-    assert auto._rows_of(ds2, 50) == lo
-    assert auto._rows_of(ds2, 10) > 10
-    assert ray.get(c2.get.remote()) == e1
-    # a LARGER threshold needs a fresh probe (the bound can't answer)
-    assert auto._rows_of(ds2, 10_000) == 1000
-    assert ray.get(c2.get.remote()) > e1
-    # and the fresh (now exact) result replaces the truncated entry
-    e2 = ray.get(c2.get.remote())
-    assert auto._rows_of(ds2, 7) == 1000
-    assert ray.get(c2.get.remote()) == e2
+    if small_kind == "dataset":
+        small_side = _ds(small, 2).materialize()
+        nb = meta_size_bytes(small_side)
+    else:
+        small_side = encode.geoms_to_table(small)
+        nb = small_side.nbytes
+    assert nb  # 25 rows are far under the rows cap: bytes alone set K
+    spy = force_shards(nb, 2, by="bytes")
+    got = _rows(auto.spatial_join(_ds(big, 2), small_side, Interaction.INTERSECTS))
+    assert got == [tuple(r) for r in slow_spatial_join(small, big, Interaction.INTERSECTS)]
+    assert len(spy.cuts) == 2 and spy.cuts[0] is not None
 
 
 def _hot_inputs():
@@ -450,29 +372,6 @@ def test_empty_big_side_keeps_schema(case):
         assert out.schema().names == cols
 
 
-class _SpyBuild:
-    """Stands in for ``partitioned._build_shard``: records each shard's cuts."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.cuts = []
-
-    def remote(self, config, keep_table, cuts, shard, *blocks):
-        self.cuts.append(cuts)
-        return self.fn.remote(config, keep_table, cuts, shard, *blocks)
-
-
-def _force_shards(monkeypatch, n_small: int, k: int) -> _SpyBuild:
-    """Shrink the shard-rows constant so ``n_small`` rows make ``k`` shards."""
-    import rayjoin.join.auto as auto
-    import rayjoin.join.partitioned as part
-
-    monkeypatch.setattr(auto, "DEFAULT_BROADCAST_ROWS", -(-n_small // k))
-    spy = _SpyBuild(part._build_shard)
-    monkeypatch.setattr(part, "_build_shard", spy)
-    return spy
-
-
 def _sharded_inputs(name):
     if name == "hot":
         big, small = _hot_inputs()
@@ -487,25 +386,37 @@ def _sharded_inputs(name):
 
 
 def _sharded_plans(case, max_d, knn_k=3):
-    """(sharded, broadcast) builders; prox dilates by ``max_d``; capped kNN
-    caps at an eighth of it, which leaves some big rows short of 3."""
-    from rayjoin.join.broadcast import SpatialIndex
+    """(sharded, config, probe) of one case: ``sharded(big, small)`` runs the
+    partitioned entry point, ``probe(index, big)`` the same query on a
+    ``SpatialIndex`` built with ``config``.  Prox dilates by ``max_d``;
+    capped kNN caps at an eighth of it, which leaves some big rows short
+    of 3."""
     from rayjoin.join.partitioned import (partitioned_knn_join, partitioned_proximity_map,
                                           partitioned_spatial_join)
 
     if case == "prox":
         cfg = Config(max_distance=max_d)
-        return (lambda b, s: partitioned_proximity_map(b, s, cfg),
-                lambda t, b: SpatialIndex(t, cfg).proximity_map(b))
+        return (lambda b, s: partitioned_proximity_map(b, s, cfg), cfg,
+                lambda idx, b: idx.proximity_map(b))
     if case.startswith("knn"):
         cap = max_d / 8 if case == "knn_capped" else float("inf")
-        return (lambda b, s: partitioned_knn_join(b, s, k=knn_k, max_distance=cap),
-                lambda t, b: SpatialIndex(t).knn_join(b, k=knn_k, max_distance=cap))
+        return (lambda b, s: partitioned_knn_join(b, s, k=knn_k, max_distance=cap), Config(),
+                lambda idx, b: idx.knn_join(b, k=knn_k, max_distance=cap))
     inter = Interaction.INTERSECTS if case == "with_geos" else Interaction[case.upper()]
     geos = case == "with_geos"
-    return (lambda b, s: partitioned_spatial_join(b, s, inter, with_geos=geos),
-            lambda t, b: (SpatialIndex(t).spatial_join_with_geos(b, inter) if geos
-                          else SpatialIndex(t).spatial_join(b, inter)))
+    return (lambda b, s: partitioned_spatial_join(b, s, inter, with_geos=geos), Config(),
+            lambda idx, b: (idx.spatial_join_with_geos(b, inter) if geos
+                            else idx.spatial_join(b, inter)))
+
+
+def _broadcast_rows(small, cfg, probe, big_ds):
+    """Rows of the one-shard reference plan.  Build it before forcing K:
+    a reference built after would shard too."""
+    from rayjoin.join.broadcast import SpatialIndex
+
+    idx = SpatialIndex(encode.geoms_to_table(small), cfg)
+    assert len(idx.shards) == 1
+    return _tuples(probe(idx, big_ds))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -513,7 +424,7 @@ def _sharded_plans(case, max_d, knn_k=3):
 @pytest.mark.parametrize("k", [2, 4, 7])
 @pytest.mark.parametrize("case", ["intersects", "contains", "within", "prox", "with_geos",
                                   "knn", "knn_capped", "knn_deep"])
-def test_sharded_matches_broadcast(monkeypatch, case, k, inputs):
+def test_sharded_matches_broadcast(force_shards, case, k, inputs):
     """Forced K > 1: the sharded plan gives the broadcast rows, with small
     rows straddling the slice cuts and big rows meeting several shards'
     dilated extents, and no pair emitted twice.  kNN runs with k=3 uncapped
@@ -522,9 +433,9 @@ def test_sharded_matches_broadcast(monkeypatch, case, k, inputs):
 
     big, small, max_d = _sharded_inputs(inputs)
     knn_k = len(small) // k + 1 if case == "knn_deep" else 3
-    par, bro = _sharded_plans(case, max_d, knn_k)
-    exp = _tuples(bro(encode.geoms_to_table(small), _ds(big, 3)))
-    spy = _force_shards(monkeypatch, len(small), k)
+    par, cfg, probe = _sharded_plans(case, max_d, knn_k)
+    exp = _broadcast_rows(small, cfg, probe, _ds(big, 3))
+    spy = force_shards(len(small), k)
     got = _tuples(par(_ds(big, 3), _ds(small, 2)))
     assert got == exp and len(got) > 0
     assert len(got) == len(set(got))
@@ -550,27 +461,64 @@ def test_sharded_matches_broadcast(monkeypatch, case, k, inputs):
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("k", [1, 4])
-def test_sharded_plan_never_pulls_small_side(monkeypatch, k):
-    """The driver never builds a small-side table: shards are built in
-    tasks from the small side's block refs."""
+@pytest.mark.parametrize("entry", ["partitioned", "auto", "index"])
+def test_sharded_plan_never_pulls_small_side(monkeypatch, force_shards, entry, k):
+    """A lazy Dataset small side runs its upstream once, and the driver
+    never builds a table of it: shards are built in tasks from the block
+    refs of one materialization, through every join entry point."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
     import rayjoin.join.broadcast as broadcast
+    from rayjoin.join import auto
+    from rayjoin.join.partitioned import partitioned_spatial_join
 
-    big, small, max_d = _sharded_inputs("hot")
-    par, bro = _sharded_plans("prox", max_d)
-    exp = _tuples(bro(encode.geoms_to_table(small), _ds(big, 3)))
-    big_ds, small_ds = _ds(big, 3), _ds(small, 2)
-    _force_shards(monkeypatch, len(small), k)
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
 
-    def no_driver_table(small):
-        raise AssertionError("small side pulled to the driver")
+        def add(self, n):
+            self.n += n
 
-    monkeypatch.setattr(broadcast, "_to_table", no_driver_table)
-    assert _tuples(par(big_ds, small_ds)) == exp
+        def get(self):
+            return self.n
+
+    big, small, _ = _sharded_inputs("hot")
+    small = small[:50]
+    inter = Interaction.INTERSECTS
+    exp = _broadcast_rows(small, Config(), lambda idx, b: idx.spatial_join(b, inter),
+                          _ds(big, 3))
+    assert exp
+    rows = Counter.remote()
+
+    def bump(t: pa.Table) -> pa.Table:
+        ray.get(rows.add.remote(t.num_rows))
+        return t
+
+    small_ds = ray.data.from_arrow(encode.geoms_to_table(small)).map_batches(
+        bump, batch_format="pyarrow")
+    force_shards(len(small), k)
+    seen = []
+    to_table = broadcast._to_table
+
+    def spy_to_table(x):
+        seen.append(type(x))
+        return to_table(x)
+
+    monkeypatch.setattr(broadcast, "_to_table", spy_to_table)
+    run = {"partitioned": lambda b, s: partitioned_spatial_join(b, s, inter),
+           "auto": lambda b, s: auto.spatial_join(b, s, inter),
+           "index": lambda b, s: broadcast.SpatialIndex(s).spatial_join(b, inter)}[entry]
+    assert _tuples(run(_ds(big, 3), small_ds)) == exp
+    assert ray.get(rows.get.remote()) == len(small)
+    assert not any(issubclass(t, ray.data.Dataset) for t in seen)
 
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("k", [1, 4])
-def test_sharded_plan_has_no_exchange(monkeypatch, k):
+def test_sharded_plan_has_no_exchange(force_shards, k):
     """The executed sharded join and kNN plans are one probe map over the
     big side's blocks: no sort and no all-to-all exchange."""
     import ray.data
@@ -581,7 +529,7 @@ def test_sharded_plan_has_no_exchange(monkeypatch, k):
     t = encode.geoms_to_table(big)
     big_ds = ray.data.from_arrow([t.slice(0, 100), t.slice(100)])
     small_ds = ray.data.from_arrow(encode.geoms_to_table(small))
-    _force_shards(monkeypatch, len(small), k)
+    force_shards(len(small), k)
     for out in (partitioned_spatial_join(big_ds, small_ds, Interaction.INTERSECTS),
                 partitioned_knn_join(big_ds, small_ds, k=3)):
         stats = out.materialize().stats()
