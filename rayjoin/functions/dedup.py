@@ -645,6 +645,13 @@ def verify_pairs_jaccard(pairs_ds, corpus_ds, *, id_col: str = "doc_id",
         lambda t: t.rename_columns(["id_b", "hash_b"]), batch_format="pyarrow"
     )
     j = pairs_ds.join(t_a, "inner", num_partitions, on=("id_a",))
+    # the first join's aggregators can emit schemaless zero-row blocks,
+    # which crash the second join's key resolution ("No match ... for key
+    # field id_b"): scrub them, as for the roster joins of dup_clusters
+    from ..util import drop_schemaless_empty_blocks
+
+    j = drop_schemaless_empty_blocks(j, ptabs[0].schema.empty_table().append_column(
+        "hash_a", pa.array([], pa.binary())))
     j = j.join(t_b, "inner", num_partitions, on=("id_b",))
 
     def verify_joined(t: pa.Table) -> pa.Table:

@@ -69,7 +69,7 @@ def _shard_body(sf_dir: str, shard: int, shards: int, synth_rows: int,
 
     from rayjoin.config import Interaction
     from rayjoin.geom.encode import points_geom
-    from rayjoin.join.broadcast import _decode, _run_probe
+    from rayjoin.join.broadcast import BroadcastIndex
     from rayjoin.sources.pages import _pages_batch
     from rayjoin.stages.geocode import geocode_from_url
     from rayjoin.stages.tiles import TileAssign
@@ -82,7 +82,7 @@ def _shard_body(sf_dir: str, shard: int, shards: int, synth_rows: int,
         np.asarray(geo["lon"].combine_chunks(), dtype=np.float64),
         np.asarray(geo["lat"].combine_chunks(), dtype=np.float64),
     )
-    jt = _run_probe(index, _decode(pts), pts, "join", Interaction.CONTAINS, 0, float("inf"))
+    jt = index.join(BroadcastIndex.decode(pts), pts, interaction=Interaction.CONTAINS)
     # emit per-page tile assignment + region hits (text NOT carried into
     # the join probe — byte identity is preserved in the tiles output)
     tiles = geo.select(["doc_id", "url", "lat", "lon", "tile_id", "hilbert_id", "text"])

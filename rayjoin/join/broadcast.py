@@ -12,10 +12,11 @@ is the one plan, and its only choice is K, the number of shards:
    side for a ``Dataset``).  For K > 1 the shards are STR x-slices cut at
    quantiles of sampled bbox-center x; each small row goes to exactly one
    shard, so there is no replication and no deduplication.
-2. **Build.** Each shard is a ``BroadcastIndex``: validated, decoded,
-   STR-indexed over boxes dilated by ``max_distance``.  An in-memory small
-   side with K = 1 is already on the driver, so it is built there and
-   published with one ``ray.put``.  Otherwise the small side is
+2. **Build.** Each shard is an index of the plan's kind.  A
+   ``BroadcastIndex`` is validated, decoded and STR-indexed over boxes
+   dilated by ``max_distance``.  An in-memory small side with K = 1 is
+   already on the driver, so it is built there and published with one
+   ``ray.put``.  Otherwise the small side is
    materialized once and one Ray task per shard builds it from the block
    refs; the driver holds only K refs and K dilated tree extents, never a
    small-side table.
@@ -25,11 +26,16 @@ is the one plan, and its only choice is K, the number of shards:
    first.  kNN probes each row's nearest shard first, then only the shards
    within the row's kth distance found so far, so there is no exchange.
    Per-worker memory is one resident shard.
+
+The geodesic joins (``join/geodesic.py``) run this same plan with
+``SphereIndex`` as the index kind.  The shard build, the worker cache and
+the probe stream take the kind as an argument and never branch on it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -43,7 +49,7 @@ from ..geom.relates import relate
 from ..state.rtree import STRtree, dilate
 from ..stages.validate import validate_batch
 from ..util import (bounded_sample_frac, meta_row_count, meta_size_bytes,
-                    rank_within_sorted_groups)
+                    rank_within_sorted_groups, release_free_heap)
 
 JOIN_SCHEMA = pa.schema(
     [pa.field("big_row_id", pa.int64()), pa.field("small_row_id", pa.int64())]
@@ -56,18 +62,6 @@ def _empty_geom_table() -> pa.Table:
     from ..geom.encode import GEOM_SCHEMA
 
     return GEOM_SCHEMA.empty_table()
-
-
-def _empty_result(mode: str, with_geos: bool = False) -> pa.Table:
-    """Zero-row output table of one probe mode."""
-    schema = {"join": JOIN_SCHEMA, "prox": PROX_SCHEMA, "knn": KNN_SCHEMA}[mode]
-    if with_geos:
-        from ..geom.encode import GEOM_SCHEMA
-
-        for side in ("big", "small"):
-            for col in ("geom_type", "coords"):
-                schema = schema.append(pa.field(f"{side}_{col}", GEOM_SCHEMA.field(col).type))
-    return schema.empty_table()
 
 
 def concat_blocks(tables) -> pa.Table:
@@ -89,7 +83,14 @@ def _to_table(small) -> pa.Table:
 
 class BroadcastIndex:
     """Built small side: GeomBatch + STR tree over max_distance-dilated boxes
-    (the ``cheap_buffer`` trick, /root/reference/src/rtrees.rs:159-166)."""
+    (the ``cheap_buffer`` trick, /root/reference/src/rtrees.rs:159-166).
+
+    The planar index kind.  A kind is what ``probe_fn`` needs to know about
+    an index: ``decode`` validates a probe batch, ``join``/``prox`` probe
+    one shard, ``empty`` is a mode's zero-row output, and kNN runs on
+    ``first_key``/``near``/``key`` (``_probe_knn``) and
+    ``gap``/``knn_table`` (``_knn_sharded``).  ``geodesic.SphereIndex`` is
+    the other kind."""
 
     def __init__(self, small, config: Config = Config(), keep_table: bool = True,
                  radius_col: str | None = None):
@@ -98,12 +99,11 @@ class BroadcastIndex:
         # original-coords table is only needed for *_with_geos outputs;
         # dropping it (keep_table=False) cuts the broadcast payload ~40%
         self.table = table if keep_table else None
-        self.batch = GeomBatch.from_arrow(table)
-        validate_batch(self.batch)
+        self.batch = self.decode(table)
         if radius_col is not None:
             # per-row proximity radius: each indexed box dilates by ITS OWN
-            # radius, and _probe_prox compares d <= radius[s].  Same
-            # cheap_buffer trick, one extra float64 per indexed row.
+            # radius, and prox compares d <= radius[s].  Same cheap_buffer
+            # trick, one extra float64 per indexed row.
             r = np.asarray(table[radius_col].combine_chunks(), dtype=np.float64)
             if r.size and (not np.isfinite(r).all() or (r < 0).any()):
                 from ..config import BadMaxDistance
@@ -127,8 +127,102 @@ class BroadcastIndex:
         else:
             self.extent = (0.0, 0.0, 0.0, 0.0)
 
+    @staticmethod
+    def decode(batch: pa.Table) -> GeomBatch:
+        big = GeomBatch.from_arrow(batch)
+        validate_batch(big)
+        return big
 
-def _candidates(index: BroadcastIndex, big: GeomBatch, rows: np.ndarray | None = None):
+    @staticmethod
+    def empty(mode: str, with_geos: bool = False) -> pa.Table:
+        """Zero-row output table of one probe mode."""
+        schema = {"join": JOIN_SCHEMA, "prox": PROX_SCHEMA, "knn": KNN_SCHEMA}[mode]
+        if with_geos:
+            from ..geom.encode import GEOM_SCHEMA
+
+            for side in ("big", "small"):
+                for col in ("geom_type", "coords"):
+                    schema = schema.append(pa.field(f"{side}_{col}",
+                                                    GEOM_SCHEMA.field(col).type))
+        return schema.empty_table()
+
+    def join(self, big: GeomBatch, batch: pa.Table, rows: np.ndarray | None = None, *,
+             interaction: Interaction, with_geos: bool = False) -> pa.Table:
+        q, s = _candidates(self, big, rows)
+        if interaction is Interaction.INTERSECTS:
+            keep = relate("intersects", self.batch, s, big, q)
+        elif interaction is Interaction.CONTAINS:
+            keep = relate("contains", self.batch, s, big, q)
+        else:  # WITHIN: big.Contains(small)
+            keep = relate("contains", big, q, self.batch, s)
+        out = pa.table(
+            {
+                "big_row_id": pa.array(big.row_id[q[keep]], pa.int64()),
+                "small_row_id": pa.array(self.batch.row_id[s[keep]], pa.int64()),
+            }
+        )
+        if with_geos:
+            out = _attach_geos(out, self, s[keep], batch, q[keep])
+        return out
+
+    def prox(self, big: GeomBatch, batch: pa.Table, rows: np.ndarray | None = None, *,
+             with_geos: bool = False) -> pa.Table:
+        q, s = _candidates(self, big, rows)
+        d = relate("distance", self.batch, s, big, q)
+        if not np.isfinite(d).all():
+            raise AssertionError("non-finite distance")  # index.rs:436 assert
+        # inclusive threshold (index.rs:438); per-row radius when the index
+        # was built with radius_col, else the scalar Config.max_distance
+        thr = self.radius[s] if self.radius is not None else self.config.max_distance
+        keep = d <= thr
+        out = pa.table(
+            {
+                "big_row_id": pa.array(big.row_id[q[keep]], pa.int64()),
+                "small_row_id": pa.array(self.batch.row_id[s[keep]], pa.int64()),
+                "distance": pa.array(d[keep], pa.float64()),
+            }
+        )
+        if with_geos:
+            out = _attach_geos(out, self, s[keep], batch, q[keep])
+        return out
+
+    def first_key(self, k: int) -> float:
+        """First kNN radius: the expected k-neighbourhood at the average
+        density over the extent."""
+        x0, y0, x1, y1 = self.extent
+        diag = math.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2) or 1.0
+        return max(diag * math.sqrt(min(1.0, (k + 1) / self.batch.n)) * 0.5, diag * 1e-6)
+
+    def near(self, big: GeomBatch, rows: np.ndarray, r: float):
+        """Candidates (position in ``rows``, small position) of every small
+        within distance ``r`` of the big rows ``rows``, and per row whether
+        its query box covers the whole small-side extent."""
+        qb = dilate(big.bbox[rows], r)
+        q, s = self.tree.query(qb)
+        x0, y0, x1, y1 = self.extent
+        return q, s, (qb[:, 0] <= x0) & (qb[:, 1] <= y0) & (qb[:, 2] >= x1) & (qb[:, 3] >= y1)
+
+    def key(self, big: GeomBatch, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return relate("distance", self.batch, s, big, b)
+
+    @staticmethod
+    def gap(bb: np.ndarray, ext: np.ndarray) -> np.ndarray:
+        """(rows, shards) lower bound on any distance from a big bbox into a
+        shard: the distance from the bbox to the shard's tree extent."""
+        dx = np.maximum(np.maximum(ext[:, 0] - bb[:, 2:3], bb[:, 0:1] - ext[:, 2]), 0.0)
+        dy = np.maximum(np.maximum(ext[:, 1] - bb[:, 3:4], bb[:, 1:2] - ext[:, 3]), 0.0)
+        # less 1e-12 of the coordinates' magnitude: the point-segment kernel's
+        # |cross| / |seg| can round an ulp below the exact box gap
+        mag = np.maximum(np.abs(bb).max(axis=1, initial=0.0)[:, None], np.abs(ext).max(axis=1))
+        return np.maximum(np.sqrt(dx * dx + dy * dy) - 1e-12 * mag, 0.0)
+
+    @staticmethod
+    def knn_table(b_ids, s_ids, d, rank) -> pa.Table:
+        return pa.Table.from_arrays([pa.array(a) for a in (b_ids, s_ids, d, rank)],
+                                    schema=KNN_SCHEMA)
+
+
+def _candidates(index, big: GeomBatch, rows: np.ndarray | None = None):
     """(big_pos, small_pos) candidate positions via inclusive bbox overlap;
     big envelopes are NOT dilated (the reference's src/index.rs:143-221).
     ``rows`` limits the probe to those big positions (all when None)."""
@@ -152,84 +246,31 @@ def _attach_geos(out: pa.Table, index: BroadcastIndex, s_pos: np.ndarray,
     return out.append_column("small_coords", st["coords"].combine_chunks())
 
 
-def _probe_join(index: BroadcastIndex, big: GeomBatch, interaction: Interaction,
-                big_table: pa.Table = None, with_geos: bool = False,
-                rows: np.ndarray | None = None) -> pa.Table:
-    q, s = _candidates(index, big, rows)
-    if interaction is Interaction.INTERSECTS:
-        keep = relate("intersects", index.batch, s, big, q)
-    elif interaction is Interaction.CONTAINS:
-        keep = relate("contains", index.batch, s, big, q)
-    else:  # WITHIN: big.Contains(small)
-        keep = relate("contains", big, q, index.batch, s)
-    out = pa.table(
-        {
-            "big_row_id": pa.array(big.row_id[q[keep]], pa.int64()),
-            "small_row_id": pa.array(index.batch.row_id[s[keep]], pa.int64()),
-        }
-    )
-    if with_geos:
-        out = _attach_geos(out, index, s[keep], big_table, q[keep])
-    return out
-
-
-def _probe_prox(index: BroadcastIndex, big: GeomBatch, big_table: pa.Table = None,
-                with_geos: bool = False, rows: np.ndarray | None = None) -> pa.Table:
-    q, s = _candidates(index, big, rows)
-    d = relate("distance", index.batch, s, big, q)
-    if not np.isfinite(d).all():
-        raise AssertionError("non-finite distance")  # index.rs:436 assert
-    # inclusive threshold (index.rs:438); per-row radius when the index was
-    # built with radius_col, else the scalar Config.max_distance
-    thr = index.radius[s] if index.radius is not None else index.config.max_distance
-    keep = d <= thr
-    out = pa.table(
-        {
-            "big_row_id": pa.array(big.row_id[q[keep]], pa.int64()),
-            "small_row_id": pa.array(index.batch.row_id[s[keep]], pa.int64()),
-            "distance": pa.array(d[keep], pa.float64()),
-        }
-    )
-    if with_geos:
-        out = _attach_geos(out, index, s[keep], big_table, q[keep])
-    return out
-
-
-def _knn_table(b_ids: np.ndarray, s_ids: np.ndarray, d: np.ndarray, k: int) -> pa.Table:
-    """kNN output rows: per big row id, the first ``k`` pairs in
-    (distance, small_row_id) order, ranked from 0."""
-    order = np.lexsort((s_ids, d, b_ids))
-    b_ids, s_ids, d = b_ids[order], s_ids[order], d[order]
-    rank = rank_within_sorted_groups(b_ids)
+def _top_k(b: np.ndarray, s: np.ndarray, d: np.ndarray, k: int):
+    """Pairs in (b, d, s) order, the first ``k`` of each ``b``, with their
+    0-based rank."""
+    order = np.lexsort((s, d, b))
+    b, s, d = b[order], s[order], d[order]
+    rank = rank_within_sorted_groups(b)
     keep = rank < k
-    return pa.table(
-        {
-            "big_row_id": pa.array(b_ids[keep], pa.int64()),
-            "small_row_id": pa.array(s_ids[keep], pa.int64()),
-            "distance": pa.array(d[keep], pa.float64()),
-            "rank": pa.array(rank[keep], pa.int64()),
-        }
-    )
+    return b[keep], s[keep], d[keep], rank[keep]
 
 
-def _probe_knn(index: BroadcastIndex, big: GeomBatch, k: int, max_distance,
-               rows: np.ndarray | None = None) -> pa.Table:
+def _probe_knn(index, big: GeomBatch, k: int, max_distance, rows: np.ndarray | None = None):
     """Expanding-radius kNN: per big geometry, the k nearest smalls ordered
-    by (distance, small_row_id) — deterministic ties (SURVEY.md §7(d)).
-    ``max_distance`` is one inclusive cap or an array of one cap per big
-    position; ``rows`` limits the probe to those big positions."""
+    by (key, small_row_id) — deterministic ties (SURVEY.md §7(d)).  The key
+    is the index kind's distance, and ``max_distance`` one inclusive cap on
+    it or an array of one cap per big position; ``rows`` limits the probe
+    to those big positions.  Returns (big position, small_row_id, key,
+    rank) arrays."""
     nb = big.n
     ns = index.batch.n
     pending = np.arange(nb, dtype=np.int64) if rows is None else rows
     if pending.size == 0 or ns == 0 or k <= 0:
-        return KNN_SCHEMA.empty_table()
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64)
     cap = np.broadcast_to(np.asarray(max_distance, np.float64), (nb,))
-    x0, y0, x1, y1 = index.extent
-    domain_diag = math.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2) or 1.0
-    # initial radius: expected k-neighborhood from average density
-    r = max(domain_diag * math.sqrt(min(1.0, (k + 1) / max(ns, 1))) * 0.5, domain_diag * 1e-6)
-    r = min(r, float(cap[pending].max()))
-    out_b, out_s, out_d = [], [], []
+    r = min(index.first_key(k), float(cap[pending].max()))
+    out = []
     # pending-distance cache (VERDICT r2 #7): each doubling round re-queries
     # the tree, and the new candidate set is a SUPERSET of the last round's
     # for every still-pending big — so distances already computed are looked
@@ -239,12 +280,7 @@ def _probe_knn(index: BroadcastIndex, big: GeomBatch, k: int, max_distance,
     cache_key = np.empty(0, np.int64)
     cache_d = np.empty(0, np.float64)
     while pending.size:
-        qb = big.bbox[pending].copy()
-        qb[:, 0] -= r
-        qb[:, 1] -= r
-        qb[:, 2] += r
-        qb[:, 3] += r
-        q, s = index.tree.query(qb)
+        q, s, covered = index.near(big, pending, r)
         bglob = pending[q]
         key = bglob * np.int64(ns) + s
         d = np.empty(key.size, np.float64)
@@ -256,13 +292,10 @@ def _probe_knn(index: BroadcastIndex, big: GeomBatch, k: int, max_distance,
             hit = np.zeros(key.size, dtype=bool)
         miss = ~hit
         if miss.any():
-            d[miss] = relate("distance", index.batch, s[miss], big, bglob[miss])
-        # a big geometry is exhausted when its dilated query box covers the
-        # whole small-side extent (every small was a candidate) or the
-        # radius reached its distance cap; for those, only the cap filters
-        covered = (
-            (qb[:, 0] <= x0) & (qb[:, 1] <= y0) & (qb[:, 2] >= x1) & (qb[:, 3] >= y1)
-        ) | (r >= cap[pending])
+            d[miss] = index.key(big, bglob[miss], s[miss])
+        # a big geometry is exhausted when every small was a candidate or
+        # the radius reached its cap; for those, only the cap filters
+        covered |= r >= cap[pending]
         c = cap[bglob]
         ok = np.where(covered[q], d <= c, d <= np.minimum(r, c))
         qq, ss, dd = q[ok], s[ok], d[ok]
@@ -271,12 +304,7 @@ def _probe_knn(index: BroadcastIndex, big: GeomBatch, k: int, max_distance,
         done = (cnt >= k) | covered
         if done.any():
             m = done[qq]
-            b_pos = pending[qq[m]]
-            order = np.lexsort((index.batch.row_id[ss[m]], dd[m], b_pos))
-            keep = rank_within_sorted_groups(b_pos[order]) < k
-            out_b.append(b_pos[order][keep])
-            out_s.append(ss[m][order][keep])
-            out_d.append(dd[m][order][keep])
+            out.append(_top_k(pending[qq[m]], index.batch.row_id[ss[m]], dd[m], k))
         nd = ~done[q]
         if nd.any() and not done.all():
             ck, cd = key[nd], d[nd]
@@ -287,10 +315,7 @@ def _probe_knn(index: BroadcastIndex, big: GeomBatch, k: int, max_distance,
             cache_d = np.empty(0, np.float64)
         pending = pending[~done]
         r *= 2.0
-    b = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
-    s = np.concatenate(out_s) if out_s else np.empty(0, np.int64)
-    d = np.concatenate(out_d) if out_d else np.empty(0, np.float64)
-    return _knn_table(big.row_id[b], index.batch.row_id[s], d, k)
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 # Per-worker deserialized-index cache: stateless probe *tasks* reuse worker
@@ -300,7 +325,7 @@ def _probe_knn(index: BroadcastIndex, big: GeomBatch, k: int, max_distance,
 _INDEX_CACHE: dict = {}
 
 
-def _get_index(index_ref) -> BroadcastIndex:
+def _get_index(index_ref):
     key = index_ref.hex()
     idx = _INDEX_CACHE.get(key)
     if idx is None:
@@ -310,83 +335,56 @@ def _get_index(index_ref) -> BroadcastIndex:
     return idx
 
 
-def _run_probe(index: BroadcastIndex, big: GeomBatch, batch: pa.Table, mode: str,
-               interaction: Optional[Interaction], k: int, max_distance: float,
-               with_geos: bool = False, rows: np.ndarray | None = None) -> pa.Table:
-    if mode == "join":
-        return _probe_join(index, big, interaction, batch, with_geos, rows)
-    if mode == "prox":
-        return _probe_prox(index, big, batch, with_geos, rows)
-    if mode == "knn":
-        return _probe_knn(index, big, k, max_distance)
-    raise ValueError(mode)
-
-
-def _decode(batch: pa.Table) -> GeomBatch:
-    big = GeomBatch.from_arrow(batch)
-    validate_batch(big)
-    return big
-
-
-def _knn_sharded(shards, big: GeomBatch, k: int, max_distance: float) -> pa.Table:
-    """kNN over several shards in two bounded passes.  A row's *gap* to a
-    shard is the distance from its bbox to the shard's tree extent, a lower
-    bound on any distance into that shard.  Pass 1 probes each row's home
-    shard (smallest gap) under ``max_distance``; the row's kth distance
-    there (``max_distance`` when it found fewer than k) bounds its global
-    kth distance.  Pass 2 probes every other shard whose gap is within that
-    bound, with the bound as the row's cap.  Both tests are inclusive, so
-    ties at the kth distance are kept, and the merge ranks all pairs by
-    (distance, small_row_id)."""
+def _knn_sharded(kind, shards, big: GeomBatch, k: int, max_distance: float) -> pa.Table:
+    """kNN over the shards in at most two bounded passes.  A row's *gap* to
+    a shard (``kind.gap``) is a lower bound on any key into that shard.
+    Pass 1 probes each row's home shard (smallest gap) under
+    ``max_distance``; the row's kth key there (``max_distance`` when it
+    found fewer than k) bounds its global kth key.  Pass 2 probes every
+    other shard whose gap is within that bound, with the bound as the row's
+    cap.  Both tests are inclusive, so ties at the kth key are kept, and the
+    merge ranks all pairs by (key, small_row_id).  One shard is pass 1
+    alone."""
     if big.n == 0:
-        return KNN_SCHEMA.empty_table()
-    ext = np.array([e for _, e in shards], np.float64)
-    bb = big.bbox
-    dx = np.maximum(np.maximum(ext[:, 0] - bb[:, 2:3], bb[:, 0:1] - ext[:, 2]), 0.0)
-    dy = np.maximum(np.maximum(ext[:, 1] - bb[:, 3:4], bb[:, 1:2] - ext[:, 3]), 0.0)
-    # less 1e-12 of the coordinates' magnitude: the point-segment kernel's
-    # |cross| / |seg| can round an ulp below the exact box gap
-    mag = np.maximum(np.abs(bb).max(axis=1, initial=0.0)[:, None], np.abs(ext).max(axis=1))
-    gap = np.maximum(np.sqrt(dx * dx + dy * dy) - 1e-12 * mag, 0.0)
-    home = np.argmin(gap, axis=1)
-    first = []
-    for j, (ref, _) in enumerate(shards):
-        rows = np.flatnonzero(home == j)
-        if rows.size:
-            first.append(_probe_knn(_get_index(ref), big, k, max_distance, rows))
-    found = pa.concat_tables(first)
-    kth = found["rank"].to_numpy() == k - 1
-    bound = np.full(big.n, max_distance, np.float64)
-    by_id = np.argsort(big.row_id, kind="stable")
-    at = np.searchsorted(big.row_id, found["big_row_id"].to_numpy()[kth], sorter=by_id)
-    bound[by_id[at]] = found["distance"].to_numpy()[kth]
-    outs = [found]
-    # reverse order: the shard resident after pass 1 goes first
-    for j, (ref, _) in reversed(list(enumerate(shards))):
-        rows = np.flatnonzero((home != j) & (gap[:, j] <= bound))
-        if rows.size:
-            outs.append(_probe_knn(_get_index(ref), big, k, bound, rows))
-    t = pa.concat_tables(outs)
-    return _knn_table(t["big_row_id"].to_numpy(), t["small_row_id"].to_numpy(),
-                      t["distance"].to_numpy(), k)
-
-
-def probe_fn(batch: pa.Table, *, shards, mode: str, interaction=None, k: int = 0,
-             max_distance: float = float("inf"), with_geos: bool = False) -> pa.Table:
-    """Stateless probe task body, shared by the broadcast and the sharded
-    plan.  ``shards`` is a tuple of ``(index_ref, extent)``.  One shard
-    probes every row of the batch.  With several shards, kNN runs
-    ``_knn_sharded``; join and prox probe each shard with just the rows
-    whose bbox meets the shard's dilated tree ``extent`` (``(xmin, ymin,
-    xmax, ymax)``).  The worker's cached shard is visited first, so each
-    shard is fetched at most once per pass and one is resident at a time."""
-    big = _decode(batch)
+        return kind.empty("knn")
     if len(shards) == 1:
-        return _run_probe(_get_index(shards[0][0]), big, batch, mode, interaction, k,
-                          max_distance, with_geos)
+        parts = [_probe_knn(_get_index(shards[0][0]), big, k, max_distance)]
+    else:
+        gap = kind.gap(big.bbox, np.array([e for _, e in shards], np.float64))
+        home = np.argmin(gap, axis=1)
+        parts = []
+        for j, (ref, _) in enumerate(shards):
+            rows = np.flatnonzero(home == j)
+            if rows.size:
+                parts.append(_probe_knn(_get_index(ref), big, k, max_distance, rows))
+        b, _, d, rank = map(np.concatenate, zip(*parts))
+        kth = rank == k - 1
+        bound = np.full(big.n, max_distance, np.float64)
+        bound[b[kth]] = d[kth]
+        # reverse order: the shard resident after pass 1 goes first
+        for j, (ref, _) in reversed(list(enumerate(shards))):
+            rows = np.flatnonzero((home != j) & (gap[:, j] <= bound))
+            if rows.size:
+                parts.append(_probe_knn(_get_index(ref), big, k, bound, rows))
+    b, s, d, _ = map(np.concatenate, zip(*parts))
+    return kind.knn_table(*_top_k(big.row_id[b], s, d, k))
+
+
+def probe_fn(batch: pa.Table, *, kind, shards, mode: str, k: int = 0,
+             max_distance: float = float("inf"), **kwargs) -> pa.Table:
+    """Stateless probe task body of every join.  ``kind`` is the index class
+    of the shards and ``shards`` a tuple of ``(index_ref, extent)``.  kNN
+    runs ``_knn_sharded``.  One shard probes every row of the batch; with
+    several, join and prox probe each shard with just the rows whose bbox
+    meets the shard's tree ``extent`` (``(xmin, ymin, xmax, ymax)``).  The
+    worker's cached shard is visited first, so each shard is fetched at most
+    once per pass and one is resident at a time."""
+    big = kind.decode(batch)
     shards = sorted(shards, key=lambda sh: sh[0].hex() not in _INDEX_CACHE)
     if mode == "knn":
-        return _knn_sharded(shards, big, k, max_distance)
+        return _knn_sharded(kind, shards, big, k, max_distance)
+    if len(shards) == 1:
+        return getattr(_get_index(shards[0][0]), mode)(big, batch, **kwargs)
     bb = big.bbox
     outs = []
     for ref, (x0, y0, x1, y1) in shards:
@@ -394,9 +392,8 @@ def probe_fn(batch: pa.Table, *, shards, mode: str, interaction=None, k: int = 0
         rows = np.flatnonzero(~((bb[:, 0] > x1) | (bb[:, 2] < x0)
                                 | (bb[:, 1] > y1) | (bb[:, 3] < y0)))
         if rows.size:
-            outs.append(_run_probe(_get_index(ref), big, batch, mode, interaction, k,
-                                   max_distance, with_geos, rows))
-    return pa.concat_tables(outs) if outs else _empty_result(mode, with_geos)
+            outs.append(getattr(_get_index(ref), mode)(big, batch, rows, **kwargs))
+    return pa.concat_tables(outs) if outs else kind.empty(mode, kwargs.get("with_geos", False))
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +449,13 @@ def _shard_of(t: pa.Table, cuts: np.ndarray) -> np.ndarray:
 
 
 @ray.remote(num_returns=2)
-def _build_shard(config: Config, keep_table: bool, radius_col: str | None,
-                 cuts: Optional[np.ndarray], shard: int, *blocks: pa.Table):
-    """Build task of one shard: the ``BroadcastIndex`` over the small rows of
-    x-slice ``shard`` (every row when ``cuts`` is None), and its dilated tree
-    extent (None for an empty shard)."""
+def _build_shard(build, cuts: Optional[np.ndarray], shard: int, *blocks: pa.Table):
+    """Build task of one shard: ``build`` (an index kind, or a ``partial`` of
+    one) over the small rows of x-slice ``shard`` (every row when ``cuts``
+    is None), and the index's tree extent (None for an empty shard)."""
     if cuts is not None:
         blocks = [t.filter(pa.array(_shard_of(t, cuts) == shard)) for t in blocks if t.num_rows]
-    index = BroadcastIndex(concat_blocks(blocks), config, keep_table, radius_col)
+    index = build(concat_blocks(blocks))
     return index, (tuple(map(float, index.tree.root)) if index.batch.n else None)
 
 
@@ -468,15 +464,15 @@ def _n_shards(rows: int, nbytes: int) -> int:
                math.ceil(nbytes / DEFAULT_BROADCAST_BYTES))
 
 
-def _build_shards(small, config: Config, keep_table: bool, radius_col: str | None):
-    """``(index_ref, extent)`` of each shard of the small side.  The extent
-    is the shard's dilated tree root; it is None with one shard, which
-    every big row probes."""
+def _build_shards(small, build):
+    """``(index_ref, extent)`` of each shard of the small side, each built by
+    ``build``.  The extent is the shard's tree root; it is None with one
+    shard, which every big row probes."""
     if isinstance(small, (list, tuple, pa.Table)):
         small = _to_table(small)
         k = _n_shards(small.num_rows, small.nbytes)
         if k == 1:
-            return ((ray.put(BroadcastIndex(small, config, keep_table, radius_col)), None),)
+            return ((ray.put(build(small)), None),)
         small = ray.data.from_arrow(small)
     else:
         small = small.materialize()
@@ -487,13 +483,37 @@ def _build_shards(small, config: Config, keep_table: bool, radius_col: str | Non
         cx = ((df["xmin"] + df["xmax"]) * 0.5).to_numpy()
         cuts = np.unique(np.quantile(cx, np.linspace(0.0, 1.0, k + 1)[1:-1]))
     blocks = small.to_arrow_refs()
-    built = [_build_shard.remote(config, keep_table, radius_col, cuts, i, *blocks)
+    built = [_build_shard.remote(build, cuts, i, *blocks)
              for i in range(1 if cuts is None else cuts.size + 1)]
     if cuts is None:
         # no wait on the build: the executor starts while it runs
         return ((built[0][0], None),)
     extents = ray.get([ext for _, ext in built])
     return tuple((ref, ext) for (ref, _), ext in zip(built, extents) if ext is not None)
+
+
+def _stream(big, kind, shards, batch_size: int | None, **kwargs):
+    """The big side streamed through ``probe_fn`` past ``shards`` of index
+    ``kind``.  ``batch_size`` is the probe batch with one shard (None: whole
+    blocks); with several shards the probe takes whole blocks, so a block is
+    decoded once for all shards."""
+    # the driver's part of the plan (an in-memory side's index, the shard
+    # sample) is done: its freed heap goes back to the OS rather than being
+    # carried through the query
+    release_free_heap()
+    if isinstance(big, (list, tuple, pa.Table)):
+        big = ray.data.from_arrow(_to_table(big))
+    if meta_row_count(big) == 0:
+        # no probe block would carry the output schema; a big side that is
+        # empty only once executed still yields a schema-less result
+        return ray.data.from_arrow(kind.empty(kwargs["mode"], kwargs.get("with_geos", False)))
+    return big.map_batches(
+        probe_fn,
+        fn_kwargs={"kind": kind, "shards": shards, **kwargs},
+        batch_format="pyarrow",
+        batch_size=batch_size if len(shards) == 1 else None,
+        num_cpus=1,
+    )
 
 
 class SpatialIndex:
@@ -508,31 +528,23 @@ class SpatialIndex:
     is built asynchronously, so its build errors surface when the query
     executes: waiting for the build would keep the driver from starting
     Ray Data's executor meanwhile (29 ms a warm query on ``pbsm_skew``'s
-    inputs, one core).  ``batch_size`` is the probe batch with one shard
-    (None: whole blocks); with several shards the probe takes whole blocks,
-    so a block is decoded once for all shards."""
+    inputs, one core).  The build is eager, so a query whose big side is
+    empty still builds the small side: raising build errors at construction
+    is the contract that keeps it eager, and deferring the build to the
+    first probe would move them to query execution.  ``batch_size`` is the
+    probe batch with one shard (None: whole blocks); with several shards
+    the probe takes whole blocks, so a block is decoded once for all
+    shards."""
 
     def __init__(self, small, config: Config = Config(), batch_size: int | None = 8192,
                  keep_table: bool = True, radius_col: str | None = None):
         self.config = config
         self.batch_size = batch_size
-        self.shards = _build_shards(small, config, keep_table, radius_col)
+        self.shards = _build_shards(small, partial(BroadcastIndex, config=config,
+                                                   keep_table=keep_table, radius_col=radius_col))
 
     def _probe(self, big, **kwargs):
-        if isinstance(big, (list, tuple, pa.Table)):
-            big = ray.data.from_arrow(_to_table(big))
-        if meta_row_count(big) == 0:
-            # no probe block would carry the output schema; a big side that
-            # is empty only once executed still yields a schema-less result
-            return ray.data.from_arrow(_empty_result(kwargs["mode"],
-                                                     kwargs.get("with_geos", False)))
-        return big.map_batches(
-            probe_fn,
-            fn_kwargs={"shards": self.shards, **kwargs},
-            batch_format="pyarrow",
-            batch_size=self.batch_size if len(self.shards) == 1 else None,
-            num_cpus=1,
-        )
+        return _stream(big, BroadcastIndex, self.shards, self.batch_size, **kwargs)
 
     def spatial_join(self, big, interaction: Interaction):
         """Dataset[big_row_id, small_row_id]; semantics index.rs:497-534."""

@@ -1,8 +1,10 @@
-"""Geodesic (great-circle) proximity join over lon/lat point geometries.
+"""Geodesic (great-circle) joins over lon/lat point geometries.
 
 The planar joins treat coordinates as a flat plane; web-scale geocoded
-corpora live on a sphere.  This join finds every (big, small) pair whose
-great-circle distance is <= ``max_meters`` on the R=6,371,000 m sphere.
+corpora live on a sphere.  These joins find, on the R=6,371,000 m sphere,
+every (big, small) pair at great-circle distance <= ``max_meters``
+(``geodesic_proximity_map``) and each big point's k nearest smalls
+(``geodesic_knn_join``).
 
 Exactness contract: the pair PREDICATE is evaluated on the haversine term
 
@@ -16,47 +18,43 @@ rayjoin/stages/s2cell.py:25).  The SQL twin spells the same IEEE operation
 order, so the hav column hash-matches bit-for-bit.  ``distance_m`` (computed
 with np.arcsin for the user) is intentionally NOT part of the oracle hash.
 
-Scale shape (the PBSM pattern in spherical dress):
+Plan: the one plan of ``join/broadcast.py``, with ``SphereIndex`` as its
+index kind.  The small side is cut into shards, each shard is an STR tree
+over lat/lon boxes, and the big points stream past the shards with no
+exchange:
 
-  * fixed lat/lon grid, cell edge >= the angular radius theta = D/R;
-  * each SMALL point replicates to every cell its theta-cap can touch —
-    the lon span per lat band is widened by 1/cos(band edge) and becomes a
-    full wrap when the cap contains a pole; columns wrap modulo the grid
-    (antimeridian-safe);
-  * each BIG point lands in exactly ONE cell, so no pair dedup is needed;
-  * one groupby(cell) shuffle; per cell a vectorized all-pairs haversine
-    between the cell's bigs and its (replicated) smalls.
+  * proximity map: each small point is indexed by the boxes of its cap of
+    angular radius theta = D / R (``cap_boxes``); a big point probes them as
+    a point and the exact hav test keeps the pair;
+  * kNN: the smalls are indexed as points; a big point queries the cap boxes
+    of a growing hav radius and ranks its candidates by (hav,
+    small_row_id); across shards, ``SphereIndex.gap`` bounds the hav into a
+    shard from below, so only shards within a row's kth hav are probed.
+
+Input contract: both sides hold points (anything else raises a ValueError
+naming its type) with finite coordinates (``BadCoordinateValue``) and
+|lat| <= 90 (ValueError).  A finite lon outside [-180, 180] is wrapped for
+the boxes and used as given by hav, which is periodic in lon.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 
+from ..geom.batch import GeomBatch
+from ..geom.spec import POINT
+from ..state.rtree import STRtree
+from .broadcast import BroadcastIndex, _build_shards, _candidates, _stream, _to_table
+
 EARTH_RADIUS_M = 6_371_000.0
-# lat rows cap (VERDICT r4 #5: the old 1<<14 made eps=100m joins run on
-# cells ~12x coarser than the angular radius -> ~144x the per-cell all-pairs
-# volume).  2^21 rows = 8.6e-5 deg cells (~9.5 m), fine enough for any
-# useful proximity radius; the headroom check below proves cell ids
-# (row * cols + col < rows * 2*rows) stay far inside int64.
-_MAX_ROWS = 1 << 21
-
-
-def _grid_geometry(max_meters: float, cell_deg: float | None):
-    """Grid spec (g_lat, rows, cols, g_lon) for the angular radius of
-    ``max_meters``: lat cell edge >= theta so a cap spans <= 2 bands, lon
-    cells tile 360 exactly (wrap-safe), rows capped at ``_MAX_ROWS``."""
-    theta_deg = np.degrees(max_meters / EARTH_RADIUS_M) * (1.0 + 1e-9)
-    g = float(cell_deg) if cell_deg is not None else max(theta_deg, 180.0 / _MAX_ROWS)
-    g = max(g, 180.0 / _MAX_ROWS)
-    rows = int(np.ceil(180.0 / g))
-    # lon cells must tile 360 EXACTLY or the modulo wrap misidentifies
-    # cells (58 cells x 6.295 deg = 365 deg leaves a 5-deg seam whose two
-    # namings disagree); g_lon = 360/cols >= g keeps the span guarantee
-    cols = max(1, int(np.floor(360.0 / g)))
-    g_lon = 360.0 / cols
-    assert rows * (cols + 1) < (1 << 62), "geodesic grid overflows int64 ids"
-    return g, rows, cols, g_lon
+_TYPE_NAMES = ("Point", "Line", "LineString", "Polygon", "Rect", "Triangle")
+_PROX_SCHEMA = pa.schema([
+    pa.field("big_row_id", pa.int64()), pa.field("small_row_id", pa.int64()),
+    pa.field("hav", pa.float64()), pa.field("distance_m", pa.float64())])
+_KNN_SCHEMA = _PROX_SCHEMA.append(pa.field("knn_rank", pa.int64()))
 
 
 def _hav(lat_b, lon_b, lat_s, lon_s):
@@ -75,152 +73,144 @@ def hav_threshold(max_meters: float) -> float:
     return float(t * t)
 
 
-def _points_lonlat(t: pa.Table):
-    from ..geom.batch import GeomBatch
-
-    g = GeomBatch.from_arrow(t)
-    return g.row_id, g.bbox[:, 0].copy(), g.bbox[:, 1].copy()
+def _wrap(lon: np.ndarray) -> np.ndarray:
+    """lon wrapped into [-180, 180]; a lon already there is kept as is."""
+    return np.where(np.abs(lon) <= 180.0, lon, (lon + 180.0) % 360.0 - 180.0)
 
 
-def geodesic_proximity_map(big, small, *, max_meters: float,
-                           cell_deg: float | None = None):
+def cap_boxes(lon: np.ndarray, lat: np.ndarray, theta: float):
+    """``(boxes, owner)``: (m, 4) lat/lon boxes ``xmin, ymin, xmax, ymax`` in
+    degrees that cover the cap of angular radius ``theta`` (radians) around
+    each point, and the point each box belongs to.  A box spans lat +-
+    theta, clipped to [-90, 90], and lon +- asin(sin theta / cos lat), the
+    tangent-meridian bound, or all of [-180, 180] when the cap holds a
+    pole.  A box across +-180 is split in two with the same owner; a point
+    cannot fall in both halves.  The boxes carry a relative (1e-9) and an
+    absolute slack: they only filter, the exact hav test decides."""
+    lon = _wrap(lon)
+    pad = np.degrees(theta) * (1.0 + 1e-9) + 1e-9
+    ratio = np.sin(min(theta, np.pi / 2)) * (1.0 + 1e-9) / np.cos(np.radians(lat))
+    full = (ratio >= 1.0) | (np.abs(lat) + pad >= 90.0)
+    half = np.degrees(np.arcsin(np.minimum(ratio, 1.0))) + 1e-9
+    x0 = np.where(full, -180.0, lon - half)
+    x1 = np.where(full, 180.0, lon + half)
+    y0 = np.maximum(lat - pad, -90.0)
+    y1 = np.minimum(lat + pad, 90.0)
+    west = np.flatnonzero(x0 < -180.0)
+    east = np.flatnonzero(x1 > 180.0)
+    boxes = [np.column_stack([np.maximum(x0, -180.0), y0, np.minimum(x1, 180.0), y1]),
+             np.column_stack([x0[west] + 360.0, y0[west], np.full(west.size, 180.0), y1[west]]),
+             np.column_stack([np.full(east.size, -180.0), y0[east], x1[east] - 360.0, y1[east]])]
+    return np.concatenate(boxes), np.concatenate([np.arange(lon.size), west, east])
+
+
+def _table(schema: pa.Schema, b, s, hav, *rank) -> pa.Table:
+    d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.minimum(hav, 1.0)))
+    return pa.Table.from_arrays([pa.array(a) for a in (b, s, hav, d, *rank)], schema=schema)
+
+
+class SphereIndex:
+    """The sphere's index kind (see ``broadcast.BroadcastIndex``): small
+    lon/lat points in an STR tree over the boxes of their cap of radius
+    ``max_meters`` for a proximity map, or over the points themselves for
+    kNN (``max_meters=None``).  A decoded batch keeps the coordinates as
+    given in ``xy``, for hav, and lon wrapped into [-180, 180] in ``bbox``,
+    for the boxes; the kNN key is hav."""
+
+    def __init__(self, small, max_meters: float | None = None):
+        self.batch = self.decode(_to_table(small))
+        if max_meters is None:
+            self.tree = STRtree(self.batch.bbox)
+        else:
+            self.t2 = hav_threshold(max_meters)
+            self.tree = STRtree(*cap_boxes(self.batch.bbox[:, 0], self.batch.bbox[:, 1],
+                                           max_meters / EARTH_RADIUS_M))
+
+    @staticmethod
+    def decode(batch: pa.Table) -> GeomBatch:
+        g = BroadcastIndex.decode(batch)
+        bad = np.flatnonzero(g.kind != POINT)
+        if bad.size:
+            raise ValueError(f"geodesic joins take points; row_id {g.row_id[bad[0]]} "
+                             f"is a {_TYPE_NAMES[g.kind[bad[0]]]}")
+        bad = np.flatnonzero(np.abs(g.bbox[:, 1]) > 90.0)
+        if bad.size:
+            raise ValueError(f"latitude {g.bbox[bad[0], 1]} of row_id {g.row_id[bad[0]]} "
+                             "is outside [-90, 90]")
+        g.bbox[:, 0] = g.bbox[:, 2] = _wrap(g.bbox[:, 0])
+        return g
+
+    @staticmethod
+    def empty(mode: str, with_geos: bool = False) -> pa.Table:
+        return {"prox": _PROX_SCHEMA, "knn": _KNN_SCHEMA}[mode].empty_table()
+
+    def prox(self, big: GeomBatch, batch: pa.Table, rows: np.ndarray | None = None) -> pa.Table:
+        q, s = _candidates(self, big, rows)
+        h = self.key(big, q, s)
+        keep = h <= self.t2
+        return _table(_PROX_SCHEMA, big.row_id[q[keep]], self.batch.row_id[s[keep]], h[keep])
+
+    def first_key(self, k: int) -> float:
+        """First kNN hav radius.  hav is the share of the sphere's area
+        within that radius, so this is the expected k-neighbourhood at the
+        average density over the extent."""
+        x0, y0, x1, y1 = self.tree.root
+        area = (x1 - x0) / 720.0 * (np.sin(np.radians(y1)) - np.sin(np.radians(y0)))
+        return max(area * min(1.0, (k + 1) / self.batch.n), 1e-12)
+
+    def near(self, big: GeomBatch, rows: np.ndarray, r: float):
+        """Candidates (position in ``rows``, small position) of every small
+        within hav ``r`` of the big rows ``rows``; a hav of 1 covers the
+        sphere."""
+        boxes, owner = cap_boxes(big.bbox[rows, 0], big.bbox[rows, 1],
+                                 2.0 * np.arcsin(np.sqrt(min(r, 1.0))))
+        q, s = self.tree.query(boxes)
+        return owner[q], s, np.full(rows.size, r >= 1.0)
+
+    def key(self, big: GeomBatch, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return _hav(big.xy[b, 1], big.xy[b, 0], self.batch.xy[s, 1], self.batch.xy[s, 0])
+
+    @staticmethod
+    def gap(bb: np.ndarray, ext: np.ndarray) -> np.ndarray:
+        """(rows, shards) lower bound on the hav from a big point into a
+        shard's lat/lon extent: sin^2(dlat/2) + cos(lat) * min(cos y0,
+        cos y1) * sin^2(dlon/2), with the latitude gap to the extent and
+        the circular longitude gap, less a relative slack for rounding."""
+        lon, lat = bb[:, 0:1], bb[:, 1:2]
+        x0, y0, x1, y1 = ext.T
+        dlat = np.maximum(np.maximum(y0 - lat, lat - y1), 0.0)
+        dlon = np.where((lon >= x0) & (lon <= x1), 0.0,
+                        np.minimum((x0 - lon) % 360.0, (lon - x1) % 360.0))
+        c = np.cos(np.radians(lat)) * np.minimum(np.cos(np.radians(y0)), np.cos(np.radians(y1)))
+        g = np.sin(np.radians(dlat) / 2.0) ** 2 + c * np.sin(np.radians(dlon) / 2.0) ** 2
+        return g * (1.0 - 1e-9)
+
+    @staticmethod
+    def knn_table(b_ids, s_ids, hav, rank) -> pa.Table:
+        return _table(_KNN_SCHEMA, b_ids, s_ids, hav, rank)
+
+
+def geodesic_proximity_map(big, small, *, max_meters: float):
     """Dataset[big_row_id, small_row_id, hav, distance_m] for every pair at
     great-circle distance <= ``max_meters`` (inclusive).  ``big``/``small``
     are point geometry tables/Datasets (geom.encode.points_geom)."""
-    import ray.data
-
     if not (np.isfinite(max_meters) and max_meters >= 0.0):
         raise ValueError(f"max_meters must be finite and >= 0, got {max_meters}")
-    theta_deg = np.degrees(max_meters / EARTH_RADIUS_M) * (1.0 + 1e-9)
-    g, rows, cols, g_lon = _grid_geometry(max_meters, cell_deg)
+    shards = _build_shards(small, partial(SphereIndex, max_meters=float(max_meters)))
+    return _stream(big, SphereIndex, shards, None, mode="prox")
 
-    big = ray.data.from_arrow(big) if isinstance(big, pa.Table) else big
-    small = ray.data.from_arrow(small) if isinstance(small, pa.Table) else small
 
-    def cell_of(lat, lon):
-        r = np.minimum((np.clip(lat, -90.0, 90.0) + 90.0) // g, rows - 1).astype(np.int64)
-        c = (((lon + 180.0) // g_lon).astype(np.int64)) % cols
-        return r, c
-
-    rep_schema = pa.table(
-        {"cell": pa.array([], pa.int64()), "side": pa.array([], pa.int8()),
-         "row_id": pa.array([], pa.int64()),
-         "lon": pa.array([], pa.float64()), "lat": pa.array([], pa.float64())}
-    )
-
-    def rep_big(t: pa.Table) -> pa.Table:
-        rid, lon, lat = _points_lonlat(t)
-        r, c = cell_of(lat, lon)
-        return pa.table(
-            {"cell": pa.array(r * cols + c, pa.int64()),
-             "side": pa.array(np.ones(len(rid), np.int8), pa.int8()),
-             "row_id": pa.array(rid, pa.int64()),
-             "lon": pa.array(lon, pa.float64()),
-             "lat": pa.array(lat, pa.float64())}
-        )
-
-    def rep_small(t: pa.Table) -> pa.Table:
-        rid, lon, lat = _points_lonlat(t)
-        n = len(rid)
-        if n == 0:
-            return rep_schema
-        r_lo = np.maximum(((lat - theta_deg + 90.0) // g).astype(np.int64), 0)
-        r_hi = np.minimum(((lat + theta_deg + 90.0) // g).astype(np.int64), rows - 1)
-        out_cell, out_idx = [], []
-        # per-row-band lon span from the haversine identity
-        #   sin^2(dlam/2) * cos(phi_big) * cos(phi_small) <= sin^2(theta/2):
-        # |dlam| <= 2*asin(min(1, sin(theta/2) / sqrt(cos(cap) * cos(phi_s))))
-        # with cap = the band's largest |lat| (bounds the unknown big) and
-        # phi_s this small point's OWN lat (known exactly — using cap for
-        # both sides under-covers when the small sits much nearer the pole
-        # than the band edge)
-        theta_rad = max_meters / EARTH_RADIUS_M
-        sin_half = np.sin(theta_rad / 2.0) * (1.0 + 1e-9)
-        cos_s = np.cos(np.radians(np.abs(lat)))
-        max_band = int((r_hi - r_lo).max()) if n else 0
-        for k in range(max_band + 1):
-            rr = r_lo + k
-            active = rr <= r_hi
-            if not active.any():
-                continue
-            band_lo = rr * g - 90.0
-            band_hi = band_lo + g
-            cap = np.maximum(np.abs(band_lo), np.abs(band_hi))
-            cos_cap = np.cos(np.radians(np.minimum(cap, 90.0)))
-            denom = np.sqrt(np.maximum(cos_cap * cos_s, 0.0))
-            ratio = np.where(denom > 0, sin_half / np.maximum(denom, 1e-300), 2.0)
-            full = ratio >= 1.0  # band touches a pole cap -> all columns
-            dlam_deg = np.degrees(2.0 * np.arcsin(np.clip(ratio, 0.0, 1.0))) * (1.0 + 1e-9)
-            # +-1 column of slack swallows any float fuzz in the g_lon
-            # division at cell boundaries
-            c_lo = ((lon - dlam_deg + 180.0) // g_lon).astype(np.int64) - 1
-            c_hi = ((lon + dlam_deg + 180.0) // g_lon).astype(np.int64) + 1
-            span = np.where(full, cols, np.minimum(c_hi - c_lo + 1, cols)).astype(np.int64)
-            span = np.where(active, span, 0)
-            tot = int(span.sum())
-            if tot == 0:
-                continue
-            idx = np.repeat(np.arange(n), span)
-            # column offsets within each point's span
-            offs = np.arange(tot) - np.repeat(np.cumsum(span) - span, span)
-            base = np.where(full, 0, c_lo)
-            cc = (np.repeat(base, span) + offs) % cols
-            out_cell.append(np.repeat(rr, span) * cols + cc)
-            out_idx.append(idx)
-        if not out_cell:
-            return rep_schema
-        cell = np.concatenate(out_cell)
-        idx = np.concatenate(out_idx)
-        return pa.table(
-            {"cell": pa.array(cell, pa.int64()),
-             "side": pa.array(np.zeros(len(cell), np.int8), pa.int8()),
-             "row_id": pa.array(rid[idx], pa.int64()),
-             "lon": pa.array(lon[idx], pa.float64()),
-             "lat": pa.array(lat[idx], pa.float64())}
-        )
-
-    t2 = hav_threshold(max_meters)
-    out_empty = pa.table(
-        {"big_row_id": pa.array([], pa.int64()),
-         "small_row_id": pa.array([], pa.int64()),
-         "hav": pa.array([], pa.float64()),
-         "distance_m": pa.array([], pa.float64())}
-    )
-
-    def cell_join(t: pa.Table) -> pa.Table:
-        side = np.asarray(t["side"].combine_chunks(), dtype=np.int8)
-        rid = np.asarray(t["row_id"].combine_chunks(), dtype=np.int64)
-        lon = np.asarray(t["lon"].combine_chunks(), dtype=np.float64)
-        lat = np.asarray(t["lat"].combine_chunks(), dtype=np.float64)
-        bm = side == 1
-        sm = ~bm
-        nb, ns = int(bm.sum()), int(sm.sum())
-        if nb == 0 or ns == 0:
-            return out_empty
-        rb, lob, lab = rid[bm], lon[bm], lat[bm]
-        rs, los, las = rid[sm], lon[sm], lat[sm]
-        outs = []
-        # chunk the big side so the (chunk x ns) pair block stays small
-        step = max(1, 2_000_000 // max(ns, 1))
-        for i in range(0, nb, step):
-            j = min(i + step, nb)
-            h = _hav(lab[i:j, None], lob[i:j, None], las[None, :], los[None, :])
-            bi, si = np.nonzero(h <= t2)
-            if bi.size:
-                hv = h[bi, si]
-                d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.minimum(hv, 1.0)))
-                outs.append(pa.table(
-                    {"big_row_id": pa.array(rb[i + bi], pa.int64()),
-                     "small_row_id": pa.array(rs[si], pa.int64()),
-                     "hav": pa.array(hv, pa.float64()),
-                     "distance_m": pa.array(d, pa.float64())}
-                ))
-        return pa.concat_tables(outs) if outs else out_empty
-
-    rep = big.map_batches(rep_big, batch_format="pyarrow").union(
-        small.map_batches(rep_small, batch_format="pyarrow")
-    )
-    return rep.groupby("cell").map_groups(cell_join, batch_format="pyarrow")
+def geodesic_knn_join(big, small, *, k: int, max_meters: float = float("inf")):
+    """For each big point the k nearest smalls by GREAT-CIRCLE distance;
+    ties break on (hav, small_row_id), exactly the planar knn_join contract
+    (join/broadcast.py).  Returns Dataset[big_row_id, small_row_id, hav,
+    distance_m, knn_rank] with knn_rank 0-based; ``max_meters`` (inclusive)
+    filters BEFORE ranking, so rank counts within-radius neighbors only."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    cap = hav_threshold(max_meters) if np.isfinite(max_meters) else np.inf
+    shards = _build_shards(small, SphereIndex)
+    return _stream(big, SphereIndex, shards, None, mode="knn", k=k, max_distance=cap)
 
 
 def polyline_chord_length(ds):
@@ -240,8 +230,6 @@ def polyline_chord_length(ds):
     ds = ray.data.from_arrow(ds) if isinstance(ds, pa.Table) else ds
 
     def per_batch(t: pa.Table) -> pa.Table:
-        from ..geom.batch import GeomBatch
-
         g = GeomBatch.from_arrow(t)
         xy = g.xy
         off = g.ring_vert_off  # one ring per linestring
@@ -268,86 +256,3 @@ def polyline_chord_length(ds):
         )
 
     return ds.map_batches(per_batch, batch_format="pyarrow")
-
-
-def geodesic_knn_join(big, small, *, k: int, max_meters: float = float("inf")):
-    """For each big point the k nearest smalls by GREAT-CIRCLE distance;
-    ties break on (hav, small_row_id), exactly the planar knn_join contract
-    (join/broadcast.py).  Returns Dataset[big_row_id, small_row_id, hav,
-    distance_m, knn_rank] with knn_rank 0-based; ``max_meters`` (inclusive)
-    filters BEFORE ranking, so rank counts within-radius neighbors only.
-
-    Scale shape: the small side is broadcast ONCE via ray.put (zero-copy
-    numpy views out of plasma in every map task — never re-shipped per
-    batch); the big side streams.  Per batch one chunked hav matrix + a
-    stable argsort over id-sorted columns (stability IS the tie rule).  For
-    two large sides, shard the small side and bound each row's kth distance
-    by its nearest shard first, the planar pattern of
-    ``broadcast._knn_sharded`` — not needed while the indexed side fits a worker, which is the
-    reference's own operating envelope."""
-    import ray
-    import ray.data
-
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-    def _sorted_small(tabs):
-        tt = pa.concat_tables([t for t in tabs if t.num_rows] or list(tabs))
-        rid_s, lon_s, lat_s = _points_lonlat(tt)
-        order = np.argsort(rid_s, kind="stable")  # column order == id order
-        return rid_s[order], lon_s[order], lat_s[order]
-
-    if isinstance(small, pa.Table):
-        ref = ray.put(_sorted_small([small]))
-    else:
-        # concat/argsort OFF the driver (ADVICE r4: a large small side
-        # spiked the driver heap before the ray.put) — the task's return
-        # ref broadcasts exactly like a ray.put
-        _prep = ray.remote(lambda *tabs: _sorted_small(tabs))
-        ref = _prep.remote(*small.to_arrow_refs())
-    t2 = hav_threshold(max_meters) if np.isfinite(max_meters) else None
-
-    big = ray.data.from_arrow(big) if isinstance(big, pa.Table) else big
-    out_empty = pa.table(
-        {"big_row_id": pa.array([], pa.int64()),
-         "small_row_id": pa.array([], pa.int64()),
-         "hav": pa.array([], pa.float64()),
-         "distance_m": pa.array([], pa.float64()),
-         "knn_rank": pa.array([], pa.int64())}
-    )
-
-    def probe(t: pa.Table) -> pa.Table:
-        rs, los, las = ray.get(ref)
-        ns = rs.size
-        rb, lob, lab = _points_lonlat(t)
-        nb = rb.size
-        if nb == 0 or ns == 0:
-            return out_empty
-        outs = []
-        step = max(1, 4_000_000 // ns)
-        for i in range(0, nb, step):
-            j = min(i + step, nb)
-            h = _hav(lab[i:j, None], lob[i:j, None], las[None, :], los[None, :])
-            if t2 is not None:
-                h = np.where(h <= t2, h, np.inf)
-            kk = min(k, ns)
-            # stable sort over id-ordered columns = (hav, small_row_id) ties
-            top = np.argsort(h, axis=1, kind="stable")[:, :kk]
-            rows = np.arange(j - i)[:, None]
-            hv = h[rows, top]
-            keep = np.isfinite(hv)
-            ranks = np.broadcast_to(np.arange(kk, dtype=np.int64), hv.shape)
-            bi = np.broadcast_to(rb[i:j, None], hv.shape)
-            d = 2.0 * EARTH_RADIUS_M * np.arcsin(
-                np.sqrt(np.minimum(np.where(keep, hv, 0.0), 1.0))
-            )
-            outs.append(pa.table(
-                {"big_row_id": pa.array(bi[keep], pa.int64()),
-                 "small_row_id": pa.array(rs[top][keep], pa.int64()),
-                 "hav": pa.array(hv[keep], pa.float64()),
-                 "distance_m": pa.array(d[keep], pa.float64()),
-                 "knn_rank": pa.array(ranks[keep], pa.int64())}
-            ))
-        return pa.concat_tables(outs) if outs else out_empty
-
-    return big.map_batches(probe, batch_format="pyarrow")

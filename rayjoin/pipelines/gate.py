@@ -623,7 +623,8 @@ FROM pts p CROSS JOIN st LEFT JOIN ag ON ag.ra = p.row_id
 
 def q_dbscan_geodesic(sf_dir: str):
     """Same DBSCAN machinery with the GEODESIC metric: eps = 300 km on the
-    sphere, edges from the pole/antimeridian-safe geodesic grid self-join;
+    sphere, edges from the pole/antimeridian-safe geodesic proximity
+    self-join (cap boxes on the sharded broadcast);
     everything downstream (degree, components, border, noise) is shared
     with the planar row.  The recursive-CTE twin swaps the predicate for
     hav <= sin^2(D/2R)."""

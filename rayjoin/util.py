@@ -10,6 +10,8 @@ packed-key collision policy have exactly one home.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 _KNUTH = 2654435761
@@ -111,6 +113,27 @@ def meta_size_bytes(ds):
     if m is not None and getattr(m, "size_bytes", None) is not None:
         return m.size_bytes
     return None
+
+
+def release_free_heap() -> None:
+    """Hand the free pages of the process's C heap back to the OS.
+
+    glibc keeps freed memory inside the heap: once one large numpy array
+    has been freed, arrays up to that size are carved from the heap
+    instead of mapped, and a free block below a live one is never
+    returned.  A long-lived driver then carries tens of MB of freed
+    temporaries, and how many depends on the order earlier allocations
+    happened to land in.  ``malloc_trim(0)`` releases every free page of
+    every arena; it costs microseconds when little is free.  A no-op
+    where libc has no ``malloc_trim`` (not glibc)."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError):
+    _MALLOC_TRIM = None
 
 
 def bounded_sample_frac(frac: float, rows, cap: int) -> float:

@@ -26,9 +26,9 @@ class _BuildSpy:
         self.fn = fn
         self.cuts = []
 
-    def remote(self, config, keep_table, radius_col, cuts, shard, *blocks):
+    def remote(self, build, cuts, shard, *blocks):
         self.cuts.append(cuts)
-        return self.fn.remote(config, keep_table, radius_col, cuts, shard, *blocks)
+        return self.fn.remote(build, cuts, shard, *blocks)
 
 
 @pytest.fixture

@@ -242,6 +242,8 @@ def _parity_plans(case):
         cfg = Config(max_distance=0.6)
         return (lambda b, s: partitioned_proximity_map(b, s, cfg),
                 lambda t, b: SpatialIndex(t, cfg).proximity_map(b))
+    if case.startswith("geo_"):
+        return _geo_plans(case)[::-1]
     return (lambda b, s: partitioned_knn_join(b, s, k=3, max_distance=0.8),
             lambda t, b: SpatialIndex(t).knn_join(b, k=3, max_distance=0.8))
 
@@ -309,10 +311,11 @@ def test_partitioned_knn_disjoint_small_side_unbounded():
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("case", ["intersects", "prox", "knn"])
+@pytest.mark.parametrize("case", ["intersects", "prox", "knn", "geo_prox", "geo_knn"])
 def test_partitioned_two_empty_sides(case):
-    """Both sides empty: the grid is one cell and every partitioned plan and
-    the broadcast plan return zero rows with their usual schema."""
+    """Both sides empty: the grid is one cell and every partitioned plan,
+    the broadcast plan and the geodesic joins return zero rows with their
+    usual schema."""
     import ray.data
 
     from rayjoin.join.partitioned import GridSpec
@@ -328,10 +331,32 @@ def test_partitioned_two_empty_sides(case):
     assert out.count() == out_b.count() == 0
     cols = ["big_row_id", "small_row_id"] + {"prox": ["distance"],
                                              "knn": ["distance", "rank"]}.get(case, [])
-    assert out.schema().names == out_b.schema().names == cols
+    assert out.schema().names == out_b.schema().names == _GEO_COLS.get(case, cols)
 
 
 _GEOS_COLS = ["big_geom_type", "big_coords", "small_geom_type", "small_coords"]
+_GEO_COLS = {"geo_prox": ["big_row_id", "small_row_id", "hav", "distance_m"],
+             "geo_knn": ["big_row_id", "small_row_id", "hav", "distance_m", "knn_rank"]}
+
+
+def _geo_plans(case):
+    """(in-memory small side, Dataset small side) builders of a geodesic
+    case, called as ``(table, big)`` and ``(big, small)``."""
+    from rayjoin.join.geodesic import geodesic_knn_join, geodesic_proximity_map
+
+    if case == "geo_prox":
+        return (lambda t, b: geodesic_proximity_map(b, t, max_meters=500_000.0),
+                lambda b, s: geodesic_proximity_map(b, s, max_meters=500_000.0))
+    return (lambda t, b: geodesic_knn_join(b, t, k=3),
+            lambda b, s: geodesic_knn_join(b, s, k=3))
+
+
+def _geo_points(n, seed):
+    """``n`` lon/lat points as a geometry list."""
+    from rayjoin.geom.spec import Point
+
+    rng = np.random.default_rng(seed)
+    return [Point(x, y) for x, y in zip(rng.uniform(-180, 180, n), rng.uniform(-90, 90, n))]
 
 
 def _empty_big_plans(case):
@@ -341,6 +366,8 @@ def _empty_big_plans(case):
 
     cfg = Config(max_distance=0.5)
     inter = Interaction.INTERSECTS
+    if case.startswith("geo_"):
+        return _geo_plans(case)
     if case == "intersects":
         return (lambda t, b: SpatialIndex(t).spatial_join(b, inter),
                 lambda b, s: partitioned_spatial_join(b, s, inter))
@@ -355,16 +382,19 @@ def _empty_big_plans(case):
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("case", ["intersects", "prox", "with_geos", "prox_with_geos"])
+@pytest.mark.parametrize("case", ["intersects", "prox", "with_geos", "prox_with_geos",
+                                  "geo_prox", "geo_knn"])
 def test_empty_big_side_keeps_schema(case):
     """Empty big side, non-empty small side: the broadcast and the
-    partitioned plan both return zero rows with the mode's schema."""
+    partitioned plan, and the geodesic joins from an in-memory and a
+    Dataset small side, return zero rows with the mode's schema."""
     import ray.data
 
-    small = mixed_random(20, seed=5)
+    small = _geo_points(20, 5) if case in _GEO_COLS else mixed_random(20, seed=5)
     bro, par = _empty_big_plans(case)
     cols = ["big_row_id", "small_row_id"] + (["distance"] if "prox" in case else [])
     cols += _GEOS_COLS if "with_geos" in case else []
+    cols = _GEO_COLS.get(case, cols)
     for out in (bro(encode.geoms_to_table(small), ray.data.from_arrow(
                     encode.GEOM_SCHEMA.empty_table())),
                 par(ray.data.from_arrow(encode.GEOM_SCHEMA.empty_table()), _ds(small, 2))):
@@ -519,8 +549,9 @@ def test_sharded_plan_never_pulls_small_side(monkeypatch, force_shards, entry, k
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("k", [1, 4])
 def test_sharded_plan_has_no_exchange(force_shards, k):
-    """The executed sharded join and kNN plans are one probe map over the
-    big side's blocks: no sort and no all-to-all exchange."""
+    """The executed sharded join and kNN plans, planar and geodesic, are one
+    probe map over the big side's blocks: no sort and no all-to-all
+    exchange."""
     import ray.data
 
     from rayjoin.join.partitioned import partitioned_knn_join, partitioned_spatial_join
@@ -529,10 +560,77 @@ def test_sharded_plan_has_no_exchange(force_shards, k):
     t = encode.geoms_to_table(big)
     big_ds = ray.data.from_arrow([t.slice(0, 100), t.slice(100)])
     small_ds = ray.data.from_arrow(encode.geoms_to_table(small))
-    force_shards(len(small), k)
+    g = encode.geoms_to_table(_geo_points(len(big), 7))
+    geo_big = ray.data.from_arrow([g.slice(0, 100), g.slice(100)])
+    geo_small = ray.data.from_arrow(encode.geoms_to_table(_geo_points(len(small), 8)))
+    geo_prox, geo_knn = (_geo_plans(c)[1] for c in _GEO_COLS)
+    spy = force_shards(len(small), k)
     for out in (partitioned_spatial_join(big_ds, small_ds, Interaction.INTERSECTS),
-                partitioned_knn_join(big_ds, small_ds, k=3)):
+                partitioned_knn_join(big_ds, small_ds, k=3),
+                geo_prox(geo_big, geo_small), geo_knn(geo_big, geo_small)):
         stats = out.materialize().stats()
         assert "probe_fn" in stats
         for op in ("Sort", "AllToAll", "Repartition", "Aggregate", "Shuffle"):
             assert op not in stats, op
+    assert len(spy.cuts) == 4 * k
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("small_kind,k", [("table", 1), ("dataset", 1), ("dataset", 4)])
+def test_probe_releases_free_heap(monkeypatch, force_shards, small_kind, k):
+    """Each probe hands the driver's freed heap back once, after the
+    driver's part of the plan (the shard build) is done."""
+    import rayjoin.join.broadcast as broadcast
+
+    big, small = _hot_inputs()
+    calls = []
+    monkeypatch.setattr(broadcast, "release_free_heap", lambda: calls.append(len(calls)))
+    force_shards(len(small), k)
+    side = encode.geoms_to_table(small) if small_kind == "table" else _ds(small, 2)
+    index = broadcast.SpatialIndex(side)
+    assert calls == [] and len(index.shards) == k
+    out = index.spatial_join(_ds(big), Interaction.INTERSECTS)
+    assert calls == [0]
+    exp = sorted(map(tuple, slow_spatial_join(small, big, Interaction.INTERSECTS)))
+    assert _rows(out) == exp
+
+
+def test_release_free_heap_returns_freed_pages():
+    """Freed blocks pinned in the middle of the heap by live ones stay
+    resident after ``free``; ``release_free_heap`` returns their pages.  Run
+    in a fresh interpreter, whose heap has no holes from earlier tests."""
+    import os
+    import subprocess
+    import sys
+
+    from rayjoin import util
+
+    if util._MALLOC_TRIM is None or not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs glibc's malloc_trim and /proc")
+    script = """if 1:
+        import os
+        import numpy as np
+        from rayjoin.util import release_free_heap
+
+        def private_mb():
+            with open("/proc/self/statm") as f:
+                _, resident, shared = f.read().split()[:3]
+            return (int(resident) - int(shared)) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+        base = private_mb()
+        # 64 KB blocks come from the heap (under glibc's mmap threshold),
+        # each followed by a small live block that keeps it off the top
+        blocks, pins = [], []
+        for _ in range(512):
+            blocks.append(np.ones(8192))
+            pins.append(np.ones(256))
+        del blocks
+        freed = private_mb() - base
+        release_free_heap()
+        print(freed, private_mb() - base)
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": root}).stdout
+    freed, trimmed = map(float, out.split())
+    assert freed > 24.0 and trimmed < 8.0, (freed, trimmed)

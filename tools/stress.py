@@ -1027,13 +1027,14 @@ def stress_dbscan(n: int = 1_000_000) -> dict:
 
 
 def stress_geodesic(n: int = 5_000_000, ns: int = 200_000) -> dict:
-    """Great-circle proximity join: n streamed bigs vs ns replicated smalls
-    at 50 km on the sphere (polar rows and the antimeridian seam included
-    by construction of key_to_latlon)."""
+    """Great-circle proximity join and kNN join: n streamed bigs vs ns
+    indexed smalls, pairs within 50 km and each big's 4 nearest smalls on
+    the sphere (polar rows and the antimeridian seam included by
+    construction of key_to_latlon)."""
     import ray.data
 
     from rayjoin.geom.encode import points_geom
-    from rayjoin.join.geodesic import geodesic_proximity_map
+    from rayjoin.join.geodesic import geodesic_knn_join, geodesic_proximity_map
     from rayjoin.stages.geocode import key_to_latlon
 
     kb = np.arange(n, dtype=np.int64)
@@ -1045,8 +1046,13 @@ def stress_geodesic(n: int = 5_000_000, ns: int = 200_000) -> dict:
     t0 = time.time()
     pairs = geodesic_proximity_map(big, small, max_meters=50_000.0).count()
     dt = time.time() - t0
+    t0 = time.time()
+    knn_rows = geodesic_knn_join(big, small, k=4).count()
+    knn_dt = time.time() - t0
+    assert knn_rows == 4 * n, (knn_rows, n)
     return {"stress": "geodesic", "bigs": n, "smalls": ns, "pairs": pairs,
-            "sec": round(dt, 1), "bigs_per_sec": round(n / dt)}
+            "sec": round(dt, 1), "bigs_per_sec": round(n / dt),
+            "knn_rows": knn_rows, "knn_sec": round(knn_dt, 1)}
 
 
 def stress_stream(n: int = 20_000_000) -> dict:
