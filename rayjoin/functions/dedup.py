@@ -6,9 +6,11 @@
 - simhash:   64-bit simhash hamming buckets (4-table split) -> verify
 - ngram:     brute Jaccard on n-gram sets for candidate pairs (the verifier)
 
-Everything per-batch is vectorized; the only shuffles are the groupbys on
+Everything per-batch is vectorized.  The shuffles are the groupbys on
 hash/bucket keys, which is the minimum any distributed dedup needs (partial
-state per batch first, SURVEY.md aggregation guidance).
+state per batch first, SURVEY.md aggregation guidance); key joins onto a
+bounded side are sharded lookups (``join.equi``) that stream the big side
+past it with no exchange.
 """
 
 from __future__ import annotations
@@ -413,313 +415,152 @@ def jaccard_batch(texts_a, texts_b, k: int = 5) -> np.ndarray:
     return out
 
 
+def _jaccard_at_least(va, sa, ca, vb, sb, cb, threshold: float):
+    """Exact shingle Jaccard test of row-aligned set pairs: row i's sets are
+    ``va[sa[i]:sa[i] + ca[i]]`` and ``vb[sb[i]:sb[i] + cb[i]]``, each sorted
+    and unique.  Returns (kept, inter, union): the rows whose Jaccard >=
+    threshold, and each row's exact intersection and union sizes (rows
+    refuted before the intersection: 0 and ca + cb)."""
+    from ..geom.primitives import repeat_expand
+    from ..util import intersection_counts
+
+    n = ca.size
+    # EXACT prefilter: jaccard <= min(|A|,|B|)/max(|A|,|B|) — pairs whose
+    # set sizes differ too much cannot reach the threshold (drops ~60% of
+    # LSH candidates for free)
+    lo = np.minimum(ca, cb).astype(np.float64)
+    hi = np.maximum(ca, cb).astype(np.float64)
+    np.divide(lo, hi, out=lo, where=hi > 0)
+    maybe = np.where(hi > 0, lo >= threshold, True)
+    jac = np.zeros(n, np.float64)
+    jac[(ca == 0) & (cb == 0)] = 1.0  # both empty => 1.0
+    inter_all = np.zeros(n, np.int64)
+    union_all = (ca + cb).astype(np.int64)
+    m = np.flatnonzero(maybe & (hi > 0))
+    if m.size:
+        sa_m, sb_m, ca_m, cb_m = sa[m], sb[m], ca[m], cb[m]
+        # EXACT bottom-K prefix prune before the full-set gather (round-4
+        # profiling: the full intersection is DRAM-bound — ~8.5M gathered
+        # elements per 4096-pair batch with FLAT multicore scaling on the
+        # measured box — while ~all non-duplicate candidates can be refuted
+        # from their K smallest hashes).  The sets are SORTED, so with L =
+        # min(max of A's K-prefix, max of B's K-prefix), every element <= L
+        # of either set lies inside that set's prefix; prefix misses
+        # therefore bound |A and B| <= size - misses exactly, and the
+        # monotone-float prune never drops a pair the full verify would
+        # keep.  K is sized so the bound CAN prune at this threshold
+        # (slack (1-t)/(1+t) * max size).
+        K = int(np.clip(np.ceil((1.0 - threshold) / (1.0 + threshold)
+                                * hi.max()) + 8, 16, 512))
+        if threshold > 0 and K * 3 <= np.mean(ca_m + cb_m) / 2:
+            ka_len = np.minimum(ca_m, K)
+            kb_len = np.minimum(cb_m, K)
+            pga, pga_k = repeat_expand(ka_len)
+            pgb, pgb_k = repeat_expand(kb_len)
+            ka = va[sa_m[pga] + pga_k]
+            kb = vb[sb_m[pgb] + pgb_k]
+            L = np.minimum(va[sa_m + ka_len - 1], vb[sb_m + kb_len - 1])
+            sel_a = ka <= L[pga]
+            sel_b = kb <= L[pgb]
+            na_L = np.bincount(pga[sel_a], minlength=m.size)
+            nb_L = np.bincount(pgb[sel_b], minlength=m.size)
+            i_L = intersection_counts(
+                ka[sel_a], pga[sel_a], kb[sel_b], pgb[sel_b], m.size)
+            ub = np.minimum(ca_m - (na_L - i_L), cb_m - (nb_L - i_L))
+            keep = ub.astype(np.float64) / np.maximum(ca_m + cb_m - ub, 1) >= threshold
+            m, sa_m, sb_m, ca_m, cb_m = m[keep], sa_m[keep], sb_m[keep], ca_m[keep], cb_m[keep]
+        if m.size:
+            ga, ga_k = repeat_expand(ca_m)
+            gb, gb_k = repeat_expand(cb_m)
+            inter = intersection_counts(va[sa_m[ga] + ga_k], ga,
+                                        vb[sb_m[gb] + gb_k], gb, m.size)
+            union = ca_m + cb_m - inter
+            jac[m] = inter / union
+            inter_all[m] = inter
+            union_all[m] = union
+    return jac >= threshold, inter_all, union_all
+
+
+def _hash_sets(index, pos: np.ndarray):
+    """The flat hash array of a hash-set shard (a ``KeyIndex`` whose payload
+    is one ``shash`` blob column) and the start and size in it of the sets
+    of rows ``pos``; views of the blob buffers, no copy."""
+    col = index.payload["shash"].chunk(0)
+    _, off_buf, data = col.buffers()
+    off = np.frombuffer(off_buf, np.int64, count=col.offset + len(col) + 1)[col.offset:]
+    n = int(off[-1]) // 8
+    vals = np.frombuffer(data, np.uint64, count=n) if n else np.empty(0, np.uint64)
+    return vals, off[pos] // 8, (off[pos + 1] - off[pos]) // 8
+
+
 def verify_pairs_jaccard(pairs_ds, corpus_ds, *, id_col: str = "doc_id",
                          text_col: str = "text", threshold: float = 0.8,
-                         k: int = 5, broadcast_threshold_rows: int = 2_000_000,
-                         broadcast_threshold_bytes: int = 4 << 30,
-                         num_partitions: int | None = None,
-                         emit_sizes: bool = False):
+                         k: int = 5, emit_sizes: bool = False):
     """Keep the pairs whose exact shingle Jaccard >= threshold.  With
     ``emit_sizes`` the surviving pairs carry exact (inter, uni) columns.
 
-    Scale plan (VERDICT r1 fix): the corpus is first semi-filtered
-    (streaming ``map_batches``) to the docs named in some candidate pair —
-    a set bounded by the pair graph, NOT the corpus.  That bounded side is
-    shingle-hashed DISTRIBUTED (map_batches -> per-doc unique hash lists),
-    and only the compact hash lists are broadcast (sorted ids + flat
-    hashes, one ``ray.put``) for a vectorized searchsorted lookup per
-    batch; if they exceed ``broadcast_threshold_rows`` or the byte cap the
-    texts are attached with two ``Dataset.join`` hash joins instead — the
-    corpus is never materialized in one process, no driver-side hashing
-    happens on either path (the old driver prep was a single-core
-    ~10-minute stall at 650k candidate docs on the dup-heavy stress).
+    Plan (VERDICT r1 fix): the corpus is semi-joined to the ids named in
+    some candidate pair — a set bounded by the pair graph, NOT the corpus —
+    and each of those docs' unique shingle hashes is computed once,
+    distributed (``prehash``) into a hash side sharded by doc id
+    (``join.equi.KeyLookup``).  Each pair reads its two docs' sets in
+    place from that side (``KeyLookup.pairs``: no exchange, no per-pair
+    copy of a set, no driver-side data) for ``_jaccard_at_least``; a pair
+    naming a doc that is not in the corpus is dropped, as by an inner
+    join.  The corpus is never materialized in one process (the old
+    driver prep was a single-core ~10-minute stall at 650k candidate docs
+    on the dup-heavy stress).
     """
-    import ray
+    from ..join.equi import KeyLookup, equi_join
 
-    # distinct candidate doc ids (bounded by the pair graph).  One pull of
-    # the pair blocks — callers pass a materialized candidate set, so this
-    # does not re-execute the upstream pipeline.
-    ptabs = [t for t in ray.get(pairs_ds.to_arrow_refs()) if t.num_rows]
-    if not ptabs:
-        return pairs_ds.limit(0)
-    pt = pa.concat_tables([t.select(["id_a", "id_b"]) for t in ptabs])
-    cand_ids = np.unique(
-        np.concatenate(
-            [np.asarray(pt["id_a"], dtype=np.int64), np.asarray(pt["id_b"], dtype=np.int64)]
-        )
-    )
-    ids_ref = ray.put(cand_ids)
+    def pair_ids(t: pa.Table) -> pa.Table:
+        ids = np.unique(np.concatenate([np.asarray(t["id_a"].combine_chunks(), dtype=np.int64),
+                                        np.asarray(t["id_b"].combine_chunks(), dtype=np.int64)]))
+        return pa.table({"id": pa.array(ids, pa.int64())})
 
-    def semi(t: pa.Table) -> pa.Table:
-        want = ray.get(ids_ref)
-        ids = np.asarray(t[id_col].combine_chunks(), dtype=np.int64)
-        pos = np.searchsorted(want, ids)
-        pos[pos >= want.size] = 0
-        hit = want[pos] == ids
-        return t.filter(pa.array(hit, pa.bool_()))
-
-    texts_small = corpus_ds.select_columns([id_col, text_col]).map_batches(
-        semi, batch_format="pyarrow"
-    )
+    texts_small = equi_join(corpus_ds.select_columns([id_col, text_col]),
+                            pairs_ds.map_batches(pair_ids, batch_format="pyarrow"),
+                            id_col, "id", how="left_semi")
 
     def prehash(t: pa.Table) -> pa.Table:
         """DISTRIBUTED per-doc unique shingle hashes (a doc appears in many
         pairs, so per-pair re-hashing would redo the work ~avg-degree
-        times; and hashing on the driver was a single-core ~10-minute
-        stall at 650k candidate docs on the dup-heavy corpus stress).
-        Avalanche-mix BEFORE uniquing: the rolling polynomial concentrates
-        shingle differences in the LOW bits, so the verify's truncated-key
-        sort would systematically collide; the murmur3 finalizer is a
-        bijection on uint64 (set semantics identical) with random top
-        bits."""
+        times).  Avalanche-mix BEFORE uniquing: the rolling polynomial
+        concentrates shingle differences in the LOW bits, so the verify's
+        truncated-key sort would systematically collide; the murmur3
+        finalizer is a bijection on uint64 (set semantics identical) with
+        random top bits.  Each doc's SORTED set is one large_binary blob
+        (int64 offsets: a shard's blobs may pass 2 GiB), read in place by
+        ``_hash_sets``."""
         h, off = _shingle_hashes(t[text_col], k)
         h = _mix64(h)
         uh, _, ucounts = _segment_unique(h, off)
-        # BINARY blob per doc, not list<uint64>: Acero hash join carries
-        # binary but not list payload columns (same encoding as
-        # text.token_hash_sets; decode is a zero-copy frombuffer)
-        uoff32 = (np.concatenate([[0], np.cumsum(ucounts)]) * 8).astype(np.int32)
+        uoff = np.concatenate([[0], np.cumsum(ucounts)]).astype(np.int64) * 8
         blobs = pa.Array.from_buffers(
-            pa.binary(), ucounts.size,
-            [None, pa.py_buffer(uoff32.tobytes()), pa.py_buffer(uh.tobytes())],
+            pa.large_binary(), ucounts.size,
+            [None, pa.py_buffer(uoff.tobytes()), pa.py_buffer(uh.tobytes())],
         )
         return pa.table({id_col: t[id_col], "shash": blobs})
 
-    # materialize ONCE: both paths consume the hash lists, and the
-    # broadcast/shuffle decision reads size_bytes() from the materialized
-    # metadata BEFORE any blocks move to the driver (review r3: checking
-    # bytes after ray.get() pulls the whole side first, then throws the
-    # work away on fallback)
-    hashed_small = texts_small.map_batches(
-        prehash, batch_format="pyarrow"
-    ).materialize()
-    try:
-        hashed_bytes = hashed_small.size_bytes()
-    except Exception:
-        hashed_bytes = None
-    use_broadcast = cand_ids.size <= broadcast_threshold_rows and (
-        hashed_bytes is None or hashed_bytes <= broadcast_threshold_bytes
-    )
-    if use_broadcast:
-        # bounded side -> broadcast lookup (same pattern as the broadcast
-        # spatial index: one object, read per task).  The sort/gather/package
-        # prep runs in a RAY TASK, not the driver: at the byte cap the prep
-        # holds ~3 transient copies of the hash data, which measured as an
-        # ~11 GiB driver private-RSS peak on the 1M-doc corpus stress
-        # (round-3 finding); off-driver, only the ObjectRef and the
-        # zero-copy plasma mapping ever touch the driver.
+    hashes = KeyLookup(texts_small.map_batches(prehash, batch_format="pyarrow"), id_col)
 
-        @ray.remote
-        def _prep_lookup(*tabs):
-            from ..functions.text import _binary_u64
-            from ..geom.primitives import repeat_expand
-
-            tabs = [t for t in tabs if t.num_rows]
-            if not tabs:
-                return (np.empty(0, np.int64), np.empty(0, np.uint64),
-                        np.zeros(1, np.int64))
-            tt = pa.concat_tables(tabs)
-            tid = np.asarray(tt[id_col], dtype=np.int64)
-            order = np.argsort(tid, kind="stable")
-            flat, counts = _binary_u64(tt["shash"])
-            starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
-            # reorder the ragged hash sets into sorted-id order (one gather)
-            pid, kk = repeat_expand(counts[order])
-            uh = flat[starts[order][pid] + kk]
-            uoff = np.concatenate([[0], np.cumsum(counts[order])])
-            return (tid[order], uh, uoff)
-
-        lookup_ref = _prep_lookup.remote(*hashed_small.to_arrow_refs())
-
-        def verify(t: pa.Table) -> pa.Table:
-            from ..geom.primitives import repeat_expand
-
-            ids_sorted, uh_, uoff_ = ray.get(lookup_ref)
-            if ids_sorted.size == 0:  # none of the pair ids exist in corpus
-                empty = t.select(["id_a", "id_b"]).slice(0, 0)
-                if emit_sizes:
-                    empty = empty.append_column("inter", pa.array([], pa.int64()))
-                    empty = empty.append_column("uni", pa.array([], pa.int64()))
-                return empty
-            a = np.asarray(t["id_a"].combine_chunks(), dtype=np.int64)
-            b = np.asarray(t["id_b"].combine_chunks(), dtype=np.int64)
-            pa_pos = np.searchsorted(ids_sorted, a)
-            pb_pos = np.searchsorted(ids_sorted, b)
-            # pairs naming a doc that is NOT in the corpus are dropped —
-            # the same semantics as the shuffle path's inner join (an
-            # unguarded lookup would score against an unrelated doc's
-            # shingles, or index past the offsets)
-            pa_pos = np.minimum(pa_pos, ids_sorted.size - 1)
-            pb_pos = np.minimum(pb_pos, ids_sorted.size - 1)
-            found = (ids_sorted[pa_pos] == a) & (ids_sorted[pb_pos] == b)
-            if not found.all():
-                t = t.filter(pa.array(found, pa.bool_()))
-                a, b = a[found], b[found]
-                pa_pos, pb_pos = pa_pos[found], pb_pos[found]
-            la = uoff_[pa_pos + 1] - uoff_[pa_pos]
-            lb = uoff_[pb_pos + 1] - uoff_[pb_pos]
-            # EXACT prefilter: jaccard <= min(|A|,|B|)/max(|A|,|B|) — pairs
-            # whose unique-shingle counts differ too much cannot reach the
-            # threshold (drops ~60% of LSH candidates here for free)
-            lo = np.minimum(la, lb).astype(np.float64)
-            hi = np.maximum(la, lb).astype(np.float64)
-            maybe = np.ones(a.size, dtype=bool)
-            np.divide(lo, hi, out=lo, where=hi > 0)
-            maybe &= np.where(hi > 0, lo >= threshold, True)
-            jac = np.zeros(a.size, np.float64)
-            jac[(la == 0) & (lb == 0)] = 1.0  # both empty => 1.0
-            inter_all = np.zeros(a.size, np.int64)
-            union_all = (la + lb).astype(np.int64)
-            from ..util import intersection_counts
-
-            m = np.flatnonzero(maybe & (hi > 0))
-            if m.size:
-                pa_m, pb_m = pa_pos[m], pb_pos[m]
-                la_m, lb_m = la[m], lb[m]
-                # EXACT bottom-K prefix prune before the full-set gather
-                # (round-4 profiling: the full intersection is DRAM-bound —
-                # ~8.5M gathered elements per 4096-pair batch with FLAT
-                # multicore scaling on the measured box — while ~all
-                # non-duplicate candidates can be refuted from their K
-                # smallest hashes).  Per-doc hash sets are SORTED, so with
-                # L = min(max of A's K-prefix, max of B's K-prefix), every
-                # element <= L of either set lies inside that set's prefix;
-                # prefix misses therefore bound |A and B| <= size - misses
-                # exactly, and the monotone-float prune never drops a pair
-                # the full verify would keep.  K is sized so the bound CAN
-                # prune at this threshold (slack (1-t)/(1+t) * max size).
-                K = int(np.clip(np.ceil((1.0 - threshold) / (1.0 + threshold)
-                                        * hi.max()) + 8, 16, 512))
-                if threshold > 0 and K * 3 <= np.mean(la_m + lb_m) / 2:
-                    ka_len = np.minimum(la_m, K)
-                    kb_len = np.minimum(lb_m, K)
-                    pga, pga_k = repeat_expand(ka_len)
-                    pgb, pgb_k = repeat_expand(kb_len)
-                    ka = uh_[uoff_[pa_m][pga] + pga_k]
-                    kb = uh_[uoff_[pb_m][pgb] + pgb_k]
-                    a_last = uh_[uoff_[pa_m] + ka_len - 1]
-                    b_last = uh_[uoff_[pb_m] + kb_len - 1]
-                    L = np.minimum(a_last, b_last)
-                    sel_a = ka <= L[pga]
-                    sel_b = kb <= L[pgb]
-                    na_L = np.bincount(pga[sel_a], minlength=m.size)
-                    nb_L = np.bincount(pgb[sel_b], minlength=m.size)
-                    i_L = intersection_counts(
-                        ka[sel_a], pga[sel_a], kb[sel_b], pgb[sel_b], m.size)
-                    ub = np.minimum(la_m - (na_L - i_L), lb_m - (nb_L - i_L))
-                    keep_pre = (
-                        ub.astype(np.float64)
-                        / np.maximum(la_m + lb_m - ub, 1) >= threshold)
-                    m = m[keep_pre]
-                    pa_m, pb_m = pa_m[keep_pre], pb_m[keep_pre]
-                    la_m, lb_m = la_m[keep_pre], lb_m[keep_pre]
-            if m.size:
-                ga_pair, ga_k = repeat_expand(la_m)
-                gb_pair, gb_k = repeat_expand(lb_m)
-                ha = uh_[uoff_[pa_m][ga_pair] + ga_k]
-                hb = uh_[uoff_[pb_m][gb_pair] + gb_k]
-                inter = intersection_counts(ha, ga_pair, hb, gb_pair, m.size)
-                union = la_m + lb_m - inter
-                jac[m] = inter / union
-                inter_all[m] = inter
-                union_all[m] = union
-            kept = jac >= threshold
-            out = t.filter(pa.array(kept, pa.bool_())).select(["id_a", "id_b"])
-            if emit_sizes:
-                out = out.append_column(
-                    "inter", pa.array(inter_all[kept], pa.int64()))
-                out = out.append_column(
-                    "uni", pa.array(union_all[kept], pa.int64()))
-            return out
-
-        return pairs_ds.map_batches(verify, batch_format="pyarrow", batch_size=4096)
-
-    # shuffle path: two hash joins attach the PRECOMPUTED unique-hash lists
-    # (review r3: joining texts re-hashed every doc once per pair; the
-    # distributed prehash is reused on both paths now)
-    num_partitions = num_partitions or _num_join_partitions(hashed_small, pairs_ds)
-    t_a = hashed_small.map_batches(
-        lambda t: t.rename_columns(["id_a", "hash_a"]), batch_format="pyarrow"
-    )
-    t_b = hashed_small.map_batches(
-        lambda t: t.rename_columns(["id_b", "hash_b"]), batch_format="pyarrow"
-    )
-    j = pairs_ds.join(t_a, "inner", num_partitions, on=("id_a",))
-    # the first join's aggregators can emit schemaless zero-row blocks,
-    # which crash the second join's key resolution ("No match ... for key
-    # field id_b"): scrub them, as for the roster joins of dup_clusters
-    from ..util import drop_schemaless_empty_blocks
-
-    j = drop_schemaless_empty_blocks(j, ptabs[0].schema.empty_table().append_column(
-        "hash_a", pa.array([], pa.binary())))
-    j = j.join(t_b, "inner", num_partitions, on=("id_b",))
-
-    def verify_joined(t: pa.Table) -> pa.Table:
-        from ..functions.text import _binary_u64
-        from ..geom.primitives import repeat_expand
-        from ..util import intersection_counts
-
-        n = t.num_rows
-        va, ca = _binary_u64(t["hash_a"])
-        vb, cb = _binary_u64(t["hash_b"])
-        offa = np.concatenate([[0], np.cumsum(ca)])
-        offb = np.concatenate([[0], np.cumsum(cb)])
-        # EXACT bottom-K prefix prune (same as the broadcast path: sorted
-        # per-doc sets => misses within the K smallest hashes bound the
-        # intersection from above; monotone-float prune never drops a pair
-        # the full verify keeps) — the full intersection is DRAM-bound, so
-        # refuting non-dups from K elements is the dominant saving here too
-        live = np.arange(n, dtype=np.int64)
-        hi_s = np.maximum(ca, cb)
-        K = int(np.clip(np.ceil((1.0 - threshold) / (1.0 + threshold)
-                                * (hi_s.max() if n else 0)) + 8, 16, 512))
-        pre = (threshold > 0 and n > 0
-               and K * 3 <= np.mean(ca + cb) / 2)
-        if pre:
-            both = (ca > 0) & (cb > 0)  # empty sides skip straight to exact
-            m = np.flatnonzero(both)
-            if m.size:
-                ka_len = np.minimum(ca[m], K)
-                kb_len = np.minimum(cb[m], K)
-                pga, pga_k = repeat_expand(ka_len)
-                pgb, pgb_k = repeat_expand(kb_len)
-                ka = va[offa[m][pga] + pga_k]
-                kb = vb[offb[m][pgb] + pgb_k]
-                a_last = va[offa[m] + ka_len - 1]
-                b_last = vb[offb[m] + kb_len - 1]
-                L = np.minimum(a_last, b_last)
-                sel_a = ka <= L[pga]
-                sel_b = kb <= L[pgb]
-                na_L = np.bincount(pga[sel_a], minlength=m.size)
-                nb_L = np.bincount(pgb[sel_b], minlength=m.size)
-                i_L = intersection_counts(
-                    ka[sel_a], pga[sel_a], kb[sel_b], pgb[sel_b], m.size)
-                ub = np.minimum(ca[m] - (na_L - i_L), cb[m] - (nb_L - i_L))
-                refuted = (ub.astype(np.float64)
-                           / np.maximum(ca[m] + cb[m] - ub, 1)) < threshold
-                alive = np.ones(n, bool)
-                alive[m[refuted]] = False
-                live = np.flatnonzero(alive)
-        sega, ga_k = repeat_expand(ca[live])
-        segb, gb_k = repeat_expand(cb[live])
-        inter_l = intersection_counts(
-            va[offa[live][sega] + ga_k], sega,
-            vb[offb[live][segb] + gb_k], segb, live.size)
-        union_l = ca[live] + cb[live] - inter_l
-        jac_l = np.ones(live.size, np.float64)  # both-empty => 1.0
-        nz = union_l > 0
-        jac_l[nz] = inter_l[nz] / union_l[nz]
-        kept_l = jac_l >= threshold
-        keep_rows = live[kept_l]
-        out = t.take(pa.array(keep_rows, pa.int64())).select(["id_a", "id_b"])
+    def verify(t: pa.Table) -> pa.Table:
+        a = np.asarray(t["id_a"].combine_chunks(), dtype=np.int64)
+        b = np.asarray(t["id_b"].combine_chunks(), dtype=np.int64)
+        keep, inter, uni = ([np.empty(0, np.int64)] for _ in range(3))
+        for ia, ib, rows, pos_a, pos_b in hashes.pairs(a, b):
+            kept, i_, u_ = _jaccard_at_least(*_hash_sets(ia, pos_a), *_hash_sets(ib, pos_b),
+                                             threshold)
+            keep.append(rows[kept])
+            inter.append(i_[kept])
+            uni.append(u_[kept])
+        out = t.select(["id_a", "id_b"]).take(pa.array(np.concatenate(keep)))
         if emit_sizes:
-            out = out.append_column(
-                "inter", pa.array(inter_l[kept_l].astype(np.int64), pa.int64()))
-            out = out.append_column(
-                "uni", pa.array(union_l[kept_l].astype(np.int64), pa.int64()))
+            out = out.append_column("inter", pa.array(np.concatenate(inter)))
+            out = out.append_column("uni", pa.array(np.concatenate(uni)))
         return out
 
-    return j.map_batches(verify_joined, batch_format="pyarrow")
+    return pairs_ds.map_batches(verify, batch_format="pyarrow", batch_size=4096)
 
 
 def jaccard_shingles(a: str, b: str, k: int = 5) -> float:
@@ -1039,32 +880,26 @@ def _distinct_pairs(cands, cap: int = 5_000_000):
 # ---------------------------------------------------------------------------
 
 
-def _collapse_exact_texts(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                          broadcast_threshold_rows: int = 50_000_000,
-                          broadcast_threshold_bytes: int = 2 << 30):
+def _collapse_exact_texts(ds, *, id_col: str = "doc_id", text_col: str = "text"):
     """Collapse byte-identical texts to one representative doc (min id).
 
     Returns ``(reps_ds, members, dup)`` where ``reps_ds`` is the corpus
-    restricted to one doc per distinct text, ``members`` is
-    Dataset[rep_id, member_id] for the suppressed non-representative
-    members, and ``dup`` is the materialized Dataset[content_hash, rep_id]
-    of dup groups.  When the corpus has no exact duplicates, returns
-    ``(ds, None, None)`` (zero-copy passthrough).
+    restricted to one doc per distinct text, ``members`` is the
+    materialized Dataset[rep_id, member_id] of the suppressed
+    non-representative members, and ``dup`` is the materialized
+    Dataset[content_hash, rep_id] of dup groups.  When the corpus has no
+    exact duplicates, returns ``(ds, None, None)`` (zero-copy passthrough).
 
     Scale shape: one light (id, hash) scan with per-batch partial
     aggregation feeding ONE small groupby (one row per distinct dup text
-    moves); membership + rep filtering run streaming against a broadcast of
-    the dup-group map when it fits (rows AND bytes caps).  Above the caps,
-    MEMBERSHIP comes from a hash join on the light rows, but the rep
-    FILTER is a left_anti ``ds.join(drop_ids)`` that does repartition the
-    full corpus (text included) through the join aggregators — a
-    broadcastable membership doesn't exist there by definition, so one
-    text shuffle is the honest cost of that tier; per-aggregator memory is
-    bounded by the byte-scaled ``_num_join_partitions``.
+    moves).  Membership is a lookup of the light rows into the dup-group
+    map, and the rep filter a left_anti lookup of the corpus into the
+    member ids (``join.equi``): the corpus streams past both, never
+    shuffled.
     """
-    import ray
-    import ray.data
     from ray.data.aggregate import Min, Sum
+
+    from ..join.equi import equi_join
 
     light = ds.map_batches(
         lambda t: add_content_hash(t, text_col=text_col).select(
@@ -1090,71 +925,10 @@ def _collapse_exact_texts(ds, *, id_col: str = "doc_id", text_col: str = "text",
         )
         .materialize()
     )
-    n_dup = dup.count()
-    if n_dup == 0:
+    if dup.count() == 0:
         return ds, None, None
-    try:
-        dup_bytes = dup.size_bytes()
-    except Exception:
-        dup_bytes = None
-    if n_dup <= broadcast_threshold_rows and (
-        dup_bytes is None or dup_bytes <= broadcast_threshold_bytes
-    ):
-        # broadcast tier: sorted (hash -> rep) arrays prepped OFF-driver
-        # (the repo's standard pattern: one ray.put, zero driver copies)
-        @ray.remote
-        def _prep(*tabs):
-            tabs = [t for t in tabs if t.num_rows]
-            tt = pa.concat_tables(tabs)
-            h = np.asarray(tt["content_hash"], dtype=np.int64)
-            r = np.asarray(tt["rep_id"], dtype=np.int64)
-            o = np.argsort(h, kind="stable")
-            return h[o], r[o]
-
-        ref = _prep.remote(*dup.to_arrow_refs())
-
-        def _rep_of(h: np.ndarray, ids: np.ndarray):
-            dh, dr = ray.get(ref)
-            pos = np.searchsorted(dh, h)
-            pos[pos >= dh.size] = 0
-            hit = (dh[pos] == h) if dh.size else np.zeros(h.size, bool)
-            rep = np.where(hit, dr[pos] if dh.size else np.int64(0), ids)
-            return hit, rep
-
-        def to_members(t: pa.Table) -> pa.Table:
-            h = np.asarray(t["content_hash"].combine_chunks(), dtype=np.int64)
-            ids = np.asarray(t[id_col].combine_chunks(), dtype=np.int64)
-            hit, rep = _rep_of(h, ids)
-            m = hit & (ids != rep)
-            return pa.table({
-                "rep_id": pa.array(rep[m], pa.int64()),
-                "member_id": pa.array(ids[m], pa.int64()),
-            })
-
-        members = light.map_batches(to_members, batch_format="pyarrow")
-
-        def keep_reps(t: pa.Table) -> pa.Table:
-            h = fnv1a64(t[text_col]).astype(np.int64)
-            ids = np.asarray(t[id_col].combine_chunks(), dtype=np.int64)
-            hit, rep = _rep_of(h, ids)
-            return t.filter(pa.array(~(hit & (ids != rep)), pa.bool_()))
-
-        reps_ds = ds.map_batches(keep_reps, batch_format="pyarrow")
-        return reps_ds, members, dup
-
-    # join tier: dup map too big to broadcast — membership via a hash join
-    # on the LIGHT rows, rep filter via a left_anti join on the member ids.
-    # Scrub groupby-born schemaless empty blocks first: they reach the
-    # hash-join aggregators and fail acero key resolution (util docstring).
-    from ..util import drop_schemaless_empty_blocks
-
-    dup = drop_schemaless_empty_blocks(dup, pa.table({
-        "content_hash": pa.array([], pa.int64()),
-        "rep_id": pa.array([], pa.int64()),
-    }))
-    nparts = _num_join_partitions(light, dup)
     members = (
-        light.join(dup, "inner", nparts, on=("content_hash",))
+        equi_join(light, dup, "content_hash")
         .map_batches(
             lambda t: t.filter(pc.not_equal(t[id_col], t["rep_id"]))
             .select(["rep_id", id_col])
@@ -1163,21 +937,12 @@ def _collapse_exact_texts(ds, *, id_col: str = "doc_id", text_col: str = "text",
         )
         .materialize()
     )
-    drop_ids = drop_schemaless_empty_blocks(
-        members.map_batches(
-            lambda t: t.select(["member_id"]).rename_columns([id_col]),
-            batch_format="pyarrow",
-        ),
-        pa.table({id_col: pa.array([], pa.int64())}))
-    reps_ds = ds.join(drop_ids, "left_anti",
-                      _num_join_partitions(ds, members), on=(id_col,))
+    reps_ds = equi_join(ds, members, id_col, "member_id", how="left_anti")
     return reps_ds, members, dup
 
 
 def _expand_exact_pairs(verified, members, dup, *, mode: str = "pairs",
                         fill_cols: dict | None = None,
-                        broadcast_threshold_rows: int = 50_000_000,
-                        chunk_rows: int = 1_000_000,
                         max_clique_pairs: int = 200_000_000):
     """Re-derive the pairs suppressed by ``_collapse_exact_texts``.
 
@@ -1196,8 +961,7 @@ def _expand_exact_pairs(verified, members, dup, *, mode: str = "pairs",
     The scale tier for component consumers (``near_dup_drop_list``,
     ``dup_clusters``).
     """
-    import ray
-    import ray.data
+    from ..join.equi import KeyLookup
 
     if members is None:
         return verified
@@ -1260,122 +1024,23 @@ def _expand_exact_pairs(verified, members, dup, *, mode: str = "pairs",
         group_clique, batch_format="pyarrow")
 
     # cross expansion: every verified rep pair (ra, rb) expands to
-    # G(ra) x G(rb).  Broadcast the member-by-rep roster when bounded;
-    # above the cap fall back to two left_outer hash joins (pairs-mode
-    # output at that scale is output-bound by definition either way).
-    members = members.materialize()
-    if members.count() <= broadcast_threshold_rows:
-        @ray.remote
-        def _prep(*tabs):
-            from ..geom.primitives import repeat_expand
-
-            tabs = [t for t in tabs if t.num_rows]
-            tt = pa.concat_tables(tabs)
-            rep = np.asarray(tt["rep_id"], dtype=np.int64)
-            mem = np.asarray(tt["member_id"], dtype=np.int64)
-            o = np.lexsort((mem, rep))
-            rep, mem = rep[o], mem[o]
-            ureps, counts = np.unique(rep, return_counts=True)
-            off = np.concatenate([[0], np.cumsum(counts)])
-            return ureps, off.astype(np.int64), mem
-
-        roster_ref = _prep.remote(*members.to_arrow_refs())
-
-        def cross(t: pa.Table):
-            from ..geom.primitives import cross_expand
-
-            ureps, off, mem = ray.get(roster_ref)
-
-            def side(ids: np.ndarray):
-                pos = np.searchsorted(ureps, ids)
-                pos[pos >= ureps.size] = 0
-                hit = (ureps[pos] == ids) if ureps.size else np.zeros(
-                    ids.size, bool)
-                start = np.where(hit, off[pos] if ureps.size else 0, 0)
-                cnt = np.where(hit, (off[pos + 1] - off[pos]) if ureps.size
-                               else 0, 0) + 1  # +1: the rep itself
-                return start, cnt
-
-            ida = np.asarray(t["id_a"].combine_chunks(), dtype=np.int64)
-            idb = np.asarray(t["id_b"].combine_chunks(), dtype=np.int64)
-            sa, na = side(ida)
-            sb, nb = side(idb)
-            vals = {c: np.asarray(t[c].combine_chunks(), dtype=np.int64)
-                    for c in fill_cols}
-            # slice the batch so each yielded chunk stays ~chunk_rows
-            # (one boilerplate mega-group must not expand in one heap)
-            tot = na * nb
-            cum = np.cumsum(tot)
-            edges = np.searchsorted(cum, np.arange(
-                chunk_rows, cum[-1] if cum.size else 0, chunk_rows),
-                side="left") + 1 if cum.size else np.empty(0, np.int64)
-            bounds = np.unique(np.concatenate([[0], edges, [ida.size]]))
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if lo >= hi:
-                    continue
-                pid, ka, kb = cross_expand(na[lo:hi], nb[lo:hi])
-                # element 0 of a group is the rep; k>=1 indexes members
-                xa = np.where(ka == 0, ida[lo:hi][pid],
-                              mem[np.minimum(sa[lo:hi][pid] + ka - 1,
-                                             mem.size - 1 if mem.size else 0)])
-                xb = np.where(kb == 0, idb[lo:hi][pid],
-                              mem[np.minimum(sb[lo:hi][pid] + kb - 1,
-                                             mem.size - 1 if mem.size else 0)])
-                lo_id = np.minimum(xa, xb)
-                hi_id = np.maximum(xa, xb)
-                cols = {"id_a": pa.array(lo_id, pa.int64()),
-                        "id_b": pa.array(hi_id, pa.int64())}
-                for c in fill_cols:
-                    cols[c] = pa.array(vals[c][lo:hi][pid], pa.int64())
-                yield pa.table(cols).select(out_cols)
-
-        cross_ds = verified.map_batches(cross, batch_format="pyarrow")
-        return cross_ds.union(intra)
-
-    # join tier: roster = members + rep self-rows (from the dup groups);
-    # left_outer keeps singleton sides (docs in no dup group) with a null
-    # roster entry that coalesces back to the rep id itself.  Scrub
-    # groupby-born schemaless empty blocks off both join inputs first
-    # (util docstring: they fail acero key resolution in the aggregators).
-    from ..util import drop_schemaless_empty_blocks
-
-    verified = drop_schemaless_empty_blocks(verified, pa.table(
-        {c: pa.array([], pa.int64()) for c in out_cols}))
-    dup = drop_schemaless_empty_blocks(dup, pa.table({
-        "content_hash": pa.array([], pa.int64()),
-        "rep_id": pa.array([], pa.int64()),
-    }))
-    roster = members.union(dup.map_batches(
+    # G(ra) x G(rb), G(r) = r and its members.  Two left_outer lookups into
+    # the roster (members + rep self-rows) attach G(ra), then G(rb); a side
+    # in no dup group gets a null roster entry that coalesces back to the
+    # id itself.  The lookup yields bounded tables, so one boilerplate
+    # mega-group never expands in one heap.
+    roster = KeyLookup(members.union(dup.map_batches(
         lambda t: pa.table({"rep_id": t["rep_id"], "member_id": t["rep_id"]}),
         batch_format="pyarrow",
-    ))
-    nparts = _num_join_partitions(verified, roster)
-    # zero-row blocks BYPASS map UDFs (and even native rename projections),
-    # so the renames below leave them schemaless — scrub them off the join
-    # inputs (an empty right-side block contributes nothing to the join)
-    ra = drop_schemaless_empty_blocks(
-        roster.map_batches(lambda t: t.rename_columns(["id_a", "xa"]),
-                           batch_format="pyarrow"),
-        pa.table({"id_a": pa.array([], pa.int64()),
-                  "xa": pa.array([], pa.int64())}))
-    rb = drop_schemaless_empty_blocks(
-        roster.map_batches(lambda t: t.rename_columns(["id_b", "xb"]),
-                           batch_format="pyarrow"),
-        pa.table({"id_b": pa.array([], pa.int64()),
-                  "xb": pa.array([], pa.int64())}))
-    j = verified.join(ra, "left_outer", nparts, on=("id_a",))
-    # the FIRST join's aggregators can themselves emit schemaless zero-row
-    # blocks, which crash the second join's acero key resolution ("No match
-    # ... for key field id_b") — scrub the intermediate too, not just the
-    # inputs (review finding r5: observed flaky ArrowInvalid here)
-    j = drop_schemaless_empty_blocks(j, pa.table(
-        {**{c: pa.array([], pa.int64()) for c in out_cols},
-         "xa": pa.array([], pa.int64())}))
-    j = j.join(rb, "left_outer", nparts, on=("id_b",))
+    )), "rep_id")
+    j = roster.join(verified, "id_a", how="left_outer").map_batches(
+        lambda t: t.rename_columns(t.column_names[:-1] + ["xa"]),
+        batch_format="pyarrow")
+    j = roster.join(j, "id_b", how="left_outer")
 
     def finish(t: pa.Table) -> pa.Table:
         xa = pc.coalesce(t["xa"], t["id_a"])
-        xb = pc.coalesce(t["xb"], t["id_b"])
+        xb = pc.coalesce(t["member_id"], t["id_b"])
         cols = {"id_a": pc.min_element_wise(xa, xb),
                 "id_b": pc.max_element_wise(xa, xb)}
         for c in fill_cols:
@@ -1838,8 +1503,7 @@ def _window_words(data: np.ndarray, idx: np.ndarray, window: int) -> np.ndarray:
 
 
 def _dup_window_positions(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                          window: int = 32, broadcast_threshold: int = 5_000_000,
-                          coarse_buckets: int = 127):
+                          window: int = 32, coarse_buckets: int = 127):
     """Verified (doc, pos) rows of every byte window of length ``window``
     whose exact content occurs >= 2 times anywhere in the corpus (other doc
     OR another position of the same doc) — the detection core of
@@ -1854,14 +1518,13 @@ def _dup_window_positions(ds, *, id_col: str = "doc_id", text_col: str = "text",
     pass A pre-aggregates per-batch window-hash counts (the shuffle is
     O(distinct hashes per batch), not O(windows)) into the global
     duplicated-hash set; pass B re-scans, keeps only windows whose hash is
-    in that set (broadcast sorted array under ``broadcast_threshold``, hash
-    join above), and ships ONLY those — with their bytes — into a bounded
-    bucketed groupby for the exact verify.  On a dup-light corpus the
-    candidate set is tiny; on a dup-heavy one it is O(true duplicates),
-    which any exact answer must touch anyway."""
-    import ray
-    import ray.data
-    from ray.data.aggregate import Sum
+    in that set (a ``join.equi.KeyLookup`` membership test, sharded by
+    hash, before any window's bytes are gathered), and ships ONLY those —
+    with their bytes — into a bounded bucketed groupby for the exact
+    verify.  On a dup-light corpus the candidate set is tiny; on a
+    dup-heavy one it is O(true duplicates), which any exact answer must
+    touch anyway."""
+    from ..join.equi import KeyLookup
 
     m_words = (window + 7) // 8
 
@@ -1893,20 +1556,17 @@ def _dup_window_positions(ds, *, id_col: str = "doc_id", text_col: str = "text",
         keep = sums >= 2
         return pa.table({"h": pa.array(h[starts][keep], pa.int64())})
 
-    dup_h = (
+    dup_h = KeyLookup(
         ds.map_batches(partial_counts, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(bucket_dups, batch_format="pyarrow")
-        .materialize()
-    )
-    n_dup = dup_h.count()
+        .map_groups(bucket_dups, batch_format="pyarrow"), "h")
 
-    def candidates(t: pa.Table, member) -> pa.Table:
+    def candidates(t: pa.Table) -> pa.Table:
         h, doc_off, idx, pos, data = _flat_windows(t[text_col], window)
         ids = np.asarray(t[id_col].combine_chunks(), dtype=np.int64)
         doc_of = np.repeat(np.arange(doc_off.size - 1, dtype=np.int64),
                            np.diff(doc_off))
-        keep = member(h)
+        keep = dup_h.contains(h.view(np.int64))
         h, idx, pos, doc_of = h[keep], idx[keep], pos[keep], doc_of[keep]
         words = _window_words(data, idx, window)
         cols = {
@@ -1921,33 +1581,7 @@ def _dup_window_positions(ds, *, id_col: str = "doc_id", text_col: str = "text",
             cols[f"w{w}"] = pa.array(words[:, w].view(np.int64), pa.int64())
         return pa.table(cols)
 
-    if n_dup <= broadcast_threshold:
-        tabs = [t for t in ray.get(dup_h.to_arrow_refs()) if t.num_rows]
-        arr = (np.sort(np.concatenate(
-            [np.asarray(t["h"], dtype=np.int64) for t in tabs]).view(np.uint64))
-            if tabs else np.empty(0, np.uint64))
-        ref = ray.put(arr)
-
-        def member(h, ref=ref):
-            a = ray.get(ref)
-            if a.size == 0:
-                return np.zeros(h.size, bool)
-            p = np.searchsorted(a, h)
-            p = np.minimum(p, a.size - 1)
-            return a[p] == h
-
-        cand = ds.map_batches(
-            lambda t: candidates(t, member), batch_format="pyarrow"
-        )
-    else:
-        # scale fallback: hash-join the window stream against the dup-hash
-        # set; ships candidate windows only after the join filter
-        all_w = ds.map_batches(
-            lambda t: candidates(t, lambda h: np.ones(h.size, bool)),
-            batch_format="pyarrow",
-        )
-        cand = all_w.join(dup_h, "inner", _num_join_partitions(dup_h), on=("h",),
-                          right_suffix="_r")
+    cand = ds.map_batches(candidates, batch_format="pyarrow")
 
     def verify(t: pa.Table) -> pa.Table:
         h = np.asarray(t["h"].combine_chunks(), dtype=np.int64)
@@ -1975,8 +1609,7 @@ def _dup_window_positions(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
 
 def duplicated_windows(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                       window: int = 32, broadcast_threshold: int = 5_000_000,
-                       coarse_buckets: int = 127):
+                       window: int = 32, coarse_buckets: int = 127):
     """Per-doc count of duplicated ``window``-byte windows (see
     ``_dup_window_positions``).  Returns Dataset[doc_id, n_dup_windows]
     for docs with >= 1 such window; the shuffle carries per-batch partial
@@ -1985,7 +1618,7 @@ def duplicated_windows(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     pos = _dup_window_positions(
         ds, id_col=id_col, text_col=text_col, window=window,
-        broadcast_threshold=broadcast_threshold, coarse_buckets=coarse_buckets)
+        coarse_buckets=coarse_buckets)
 
     def partial(t: pa.Table) -> pa.Table:
         ids = np.asarray(t[id_col].combine_chunks(), dtype=np.int64)
@@ -2001,8 +1634,7 @@ def duplicated_windows(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
 
 def duplicated_ranges(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                      window: int = 32, broadcast_threshold: int = 5_000_000,
-                      coarse_buckets: int = 127, num_buckets: int = 64):
+                      window: int = 32, coarse_buckets: int = 127, num_buckets: int = 64):
     """Merged byte ranges [start, end) per doc covering every duplicated
     window — the actual CUT LIST of exact-substring dedup (Lee et al. 2022):
     overlapping and back-to-back windows coalesce (gap > window starts a
@@ -2010,7 +1642,7 @@ def duplicated_ranges(ds, *, id_col: str = "doc_id", text_col: str = "text",
     its docs' sorted positions with one lexsort + run detection."""
     pos = _dup_window_positions(
         ds, id_col=id_col, text_col=text_col, window=window,
-        broadcast_threshold=broadcast_threshold, coarse_buckets=coarse_buckets)
+        coarse_buckets=coarse_buckets)
 
     def bucketed(t: pa.Table) -> pa.Table:
         ids = np.asarray(t[id_col].combine_chunks(), dtype=np.int64)
@@ -2056,12 +1688,14 @@ def apply_cut_ranges(docs, ranges, *, id_col: str = "doc_id",
     the whole corpus a second time downstream).
 
     Plan: ranges pack into one binary blob per doc (bucketed merge), ONE
-    left-outer hash join onto the corpus, then a fully vectorized splice
-    per batch (piece boundaries -> repeat_expand gather over the flat utf8
-    buffer; no per-row Python)."""
+    left-outer lookup of the corpus into the packed ranges (``join.equi``:
+    the corpus streams past, never shuffled), then a fully vectorized
+    splice per batch (piece boundaries -> repeat_expand gather over the
+    flat utf8 buffer; no per-row Python)."""
     import ray.data
 
     from ..geom.primitives import repeat_expand
+    from ..join.equi import equi_join
 
     _empty_tagged = pa.table({
         "dbucket": pa.array([], pa.int64()), id_col: pa.array([], pa.int64()),
@@ -2073,7 +1707,7 @@ def apply_cut_ranges(docs, ranges, *, id_col: str = "doc_id",
         if t.num_rows == 0:
             # a Sort/map_groups upstream can emit zero-row blocks with NO
             # columns (the dup_clusters flaky-shield bug class); re-pin so
-            # the hash join never sees a block without the key column
+            # the groupby never sees a block without the key column
             return _empty_tagged
         ids = np.asarray(t[id_col].combine_chunks(), dtype=np.int64)
         return pa.table({
@@ -2109,15 +1743,10 @@ def apply_cut_ranges(docs, ranges, *, id_col: str = "doc_id",
         .map_groups(pack, batch_format="pyarrow")
     )
     # map_groups can SHORT-CIRCUIT an empty sort partition into a zero-row
-    # block with NO columns, and empty blocks bypass downstream map UDFs,
-    # so no schema-pinning map_batches can repair them — the join would
-    # fail with "No match for key field doc_id on right side".  Rebuild
-    # from the non-empty block refs instead.
-    from ..util import drop_schemaless_empty_blocks
-
-    packed = drop_schemaless_empty_blocks(packed, _empty_packed)
-    j = docs.join(packed, "left_outer", _num_join_partitions(docs, packed),
-                  on=(id_col,))
+    # block with NO columns; the typed empty block gives the lookup the
+    # ``cuts`` column even when there are no ranges at all
+    j = equi_join(docs, packed.union(ray.data.from_arrow(_empty_packed)), id_col,
+                  how="left_outer")
 
     def cut(t: pa.Table) -> pa.Table:
         text = t[text_col].combine_chunks()
@@ -2234,9 +1863,7 @@ def _explode_paragraphs(t: pa.Table, *, id_col: str, text_col: str,
 
 
 def paragraph_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                    sep: str = "\n", broadcast_threshold_rows: int = 2_000_000,
-                    broadcast_threshold_bytes: int = 1 << 30,
-                    num_buckets: int = 64, passthrough: bool = False):
+                    sep: str = "\n", num_buckets: int = 64, passthrough: bool = False):
     """Corpus-wide paragraph-level EXACT dedup (the CCNet / RefinedWeb /
     Gopher rule "remove any paragraph duplicated anywhere in the corpus,
     keeping its first occurrence"): split each doc on ``sep``, keep only
@@ -2254,8 +1881,8 @@ def paragraph_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
          marking don't re-split the corpus;
       2. winner per h = groupby(h).min(wkey) after a per-batch partial min
          (the shuffle carries distinct-per-batch hashes only);
-      3. drops = rows with wkey != winner (winners broadcast under
-         row+byte caps, hash join above — the dup_clusters tiering);
+      3. drops = rows with wkey != winner (a lookup of the paragraph rows
+         into the winners, ``join.equi``: no exchange);
       4. dropped paragraphs extend over one adjacent separator, overlap-
          merge per doc, then ``apply_cut_ranges`` splices them out with
          the shared flat-buffer gather (no per-row Python anywhere).
@@ -2264,11 +1891,9 @@ def paragraph_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
     (~n^2/2^65 expected false drops); the exact-verify variant would join
     paragraph bytes back like verify_pairs_jaccard — documented trade, the
     reference LLM-pipeline recipes all dedup on 64-bit hashes too."""
-    import ray
-    import ray.data
     from ray.data.aggregate import Min
 
-    from ..util import meta_row_count, meta_size_bytes
+    from ..join.equi import equi_join
 
     trip = ds.map_batches(
         lambda t: _explode_paragraphs(t, id_col=id_col, text_col=text_col, sep=sep),
@@ -2286,39 +1911,13 @@ def paragraph_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
                          batch_format="pyarrow")
         .groupby("h")
         .aggregate(Min("wkey", alias_name="min_wkey"))
-        .materialize()
     )
 
-    n_win = meta_row_count(winners)
-    b_win = meta_size_bytes(winners)
-    if (n_win is not None and n_win <= broadcast_threshold_rows
-            and (b_win is None or b_win <= broadcast_threshold_bytes)):
-        tabs = [t for t in ray.get(winners.to_arrow_refs()) if t.num_rows]
-        wt = pa.concat_tables(tabs) if tabs else pa.table(
-            {"h": pa.array([], pa.int64()), "min_wkey": pa.array([], pa.int64())})
-        wh = np.asarray(wt["h"].combine_chunks(), dtype=np.int64)
-        wmin = np.asarray(wt["min_wkey"].combine_chunks(), dtype=np.int64)
-        order = np.argsort(wh, kind="stable")
-        ref = ray.put((wh[order], wmin[order]))
-
-        def mark_drops_bcast(t: pa.Table) -> pa.Table:
-            wh_s, wmin_s = ray.get(ref)
-            h = np.asarray(t["h"].combine_chunks(), dtype=np.int64)
-            wkey = np.asarray(t["wkey"].combine_chunks(), dtype=np.int64)
-            pos = np.minimum(np.searchsorted(wh_s, h), max(wh_s.size - 1, 0))
-            if wh_s.size == 0 or not np.array_equal(wh_s[pos], h):
-                raise AssertionError("paragraph_dedup: hash missing from winners")
-            drop = wkey != wmin_s[pos]
-            return t.filter(pa.array(drop))
-
-        drops = trip.map_batches(mark_drops_bcast, batch_format="pyarrow")
-    else:
-        j = trip.join(winners, "inner", _num_join_partitions(winners), on=("h",))
-        drops = j.map_batches(
-            lambda t: t.filter(pc.not_equal(t["wkey"], t["min_wkey"]))
-            .select(["h", "wkey", "start", "end", "last"]),
-            batch_format="pyarrow",
-        )
+    drops = equi_join(trip, winners, "h").map_batches(
+        lambda t: t.filter(pc.not_equal(t["wkey"], t["min_wkey"]))
+        .select(["h", "wkey", "start", "end", "last"]),
+        batch_format="pyarrow",
+    )
 
     sep_len = len(sep.encode())
 

@@ -6,10 +6,10 @@ near-coincident points without overflow), so the per-query weighted sums
 are integer — order-independent, bit-exact against a SQL twin — while the
 distance itself keeps full float64 precision from the exact kNN join.
 
-Scale shape: composes with ANY kNN join output (broadcast or partitioned
-plan) as one map_batches (values attached by broadcast sorted lookup under
-a threshold, hash join beyond) + one pre-aggregated groupby(big) — the
-shuffle carries one partial row per touched query point per batch.
+Scale shape: composes with ANY kNN join output as one lookup of the kNN
+rows into the values (``join.equi``: sharded by small_row_id, no exchange)
++ one pre-aggregated groupby(big) — the shuffle carries one partial row per
+touched query point per batch.
 """
 
 from __future__ import annotations
@@ -31,22 +31,20 @@ def _weights(d: np.ndarray) -> np.ndarray:
     return np.minimum(wf, float(W_CAP)).astype(np.int64)
 
 
-def idw_interpolate(knn_ds, values, *, value_col: str = "value",
-                    broadcast_threshold_rows: int = 5_000_000):
+def idw_interpolate(knn_ds, values, *, value_col: str = "value"):
     """Inverse-distance-weighted interpolation: for each query point of a
     kNN join result Dataset[big_row_id, small_row_id, distance, ...], the
     weighted value of its neighbors.  ``values`` is a Dataset[small_row_id,
     value(int64)].  Returns Dataset[big_row_id, idw_num, idw_den,
-    idw_milli] with idw_milli = (1000 * sum(w*v)) // sum(w)."""
-    import ray
-    import ray.data
+    idw_milli] with idw_milli = (1000 * sum(w*v)) // sum(w).  A neighbor
+    id missing from ``values`` raises a KeyError."""
     from ray.data.aggregate import Sum
 
-    from .dedup import _num_join_partitions
-
-    values = values.materialize()
+    from ..join.equi import equi_join
 
     def partial(t: pa.Table) -> pa.Table:
+        if t[value_col].null_count:
+            raise KeyError("idw_interpolate: neighbor id missing from values")
         big = np.asarray(t["big_row_id"].combine_chunks(), dtype=np.int64)
         d = np.asarray(t["distance"].combine_chunks(), dtype=np.float64)
         v = np.asarray(t[value_col].combine_chunks(), dtype=np.int64)
@@ -67,32 +65,8 @@ def idw_interpolate(knn_ds, values, *, value_col: str = "value",
             "den": pa.array(den, pa.int64()),
         })
 
-    if values.count() <= broadcast_threshold_rows:
-        tabs = [t for t in ray.get(values.to_arrow_refs()) if t.num_rows]
-        if tabs:
-            tbl = pa.concat_tables(tabs)
-            sid = np.asarray(tbl["small_row_id"], dtype=np.int64)
-            val = np.asarray(tbl[value_col], dtype=np.int64)
-        else:
-            sid = np.empty(0, np.int64)
-            val = np.empty(0, np.int64)
-        order = np.argsort(sid)
-        ref = ray.put((sid[order], val[order]))
-
-        def attach(t: pa.Table) -> pa.Table:
-            ks, vs = ray.get(ref)
-            s = np.asarray(t["small_row_id"].combine_chunks(), dtype=np.int64)
-            pos = np.clip(np.searchsorted(ks, s), 0, max(ks.size - 1, 0))
-            if ks.size == 0 or not (ks[pos] == s).all():
-                raise KeyError("idw_interpolate: neighbor id missing from values")
-            return t.append_column(value_col, pa.array(vs[pos], pa.int64()))
-
-        parts = knn_ds.map_batches(attach, batch_format="pyarrow").map_batches(
-            partial, batch_format="pyarrow")
-    else:
-        j = knn_ds.join(values, "inner", _num_join_partitions(),
-                        on=("small_row_id",))
-        parts = j.map_batches(partial, batch_format="pyarrow")
+    parts = equi_join(knn_ds, values, "small_row_id", how="left_outer").map_batches(
+        partial, batch_format="pyarrow")
 
     sums = (
         parts.groupby("big_row_id")

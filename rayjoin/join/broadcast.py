@@ -1,31 +1,18 @@
 """Spatial joins over Ray Data: index the small side once, stream the big
 side past it.
 
-The Ray-Data-native equivalent of the reference's build/probe split
-(/root/reference/src/index.rs:400-420 build, :477-535 probe; its index
-always holds the whole small side, src/lib.rs:196-203).  ``SpatialIndex``
-is the one plan, and its only choice is K, the number of shards:
+``SpatialIndex`` is the one plan, on the shard build of ``rayjoin.shards``
+with bbox-center x as the cut key, so its only choice is K, the number of
+shards: STR x-slices cut at quantiles of sampled bbox-center x, each an
+index of the plan's kind.  A ``BroadcastIndex`` is validated, decoded and
+STR-indexed over boxes dilated by ``max_distance``.
 
-1. **Shard count.** ``K = max(1, ceil(rows / DEFAULT_BROADCAST_ROWS),
-   ceil(bytes / DEFAULT_BROADCAST_BYTES))`` over the small side's rows and
-   bytes (exact for in-memory tables, metadata of the materialized small
-   side for a ``Dataset``).  For K > 1 the shards are STR x-slices cut at
-   quantiles of sampled bbox-center x; each small row goes to exactly one
-   shard, so there is no replication and no deduplication.
-2. **Build.** Each shard is an index of the plan's kind.  A
-   ``BroadcastIndex`` is validated, decoded and STR-indexed over boxes
-   dilated by ``max_distance``.  An in-memory small side with K = 1 is
-   already on the driver, so it is built there and published with one
-   ``ray.put``.  Otherwise the small side is
-   materialized once and one Ray task per shard builds it from the block
-   refs; the driver holds only K refs and K dilated tree extents, never a
-   small-side table.
-3. **Probe.** The big side streams through stateless ``map_batches(probe_fn)``
-   tasks with backpressure and no shuffle: decode and validate a batch
-   once, then probe the shards its rows may meet, the worker's cached shard
-   first.  kNN probes each row's nearest shard first, then only the shards
-   within the row's kth distance found so far, so there is no exchange.
-   Per-worker memory is one resident shard.
+The big side streams through ``probe_fn``: decode and validate a batch
+once, then probe the shards its rows may meet, the worker's cached shard
+first.  One shard probes every row; with several, a row probes each shard
+whose tree extent its bbox meets.  kNN probes each row's nearest shard
+first, then only the shards within the row's kth distance found so far, so
+there is no exchange.
 
 The geodesic joins (``join/geodesic.py``) run this same plan with
 ``SphereIndex`` as the index kind.  The shard build, the worker cache and
@@ -36,7 +23,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -48,8 +34,8 @@ from ..geom.batch import GeomBatch
 from ..geom.relates import relate
 from ..state.rtree import STRtree, dilate
 from ..stages.validate import validate_batch
-from ..util import (bounded_sample_frac, meta_row_count, meta_size_bytes,
-                    rank_within_sorted_groups, release_free_heap)
+from ..shards import build_shards, get_index, is_cached, sample, stream
+from ..util import meta_row_count, rank_within_sorted_groups
 
 JOIN_SCHEMA = pa.schema(
     [pa.field("big_row_id", pa.int64()), pa.field("small_row_id", pa.int64())]
@@ -62,13 +48,6 @@ def _empty_geom_table() -> pa.Table:
     from ..geom.encode import GEOM_SCHEMA
 
     return GEOM_SCHEMA.empty_table()
-
-
-def concat_blocks(tables) -> pa.Table:
-    """One table from a side's blocks; zero-row and schema-less blocks add
-    nothing."""
-    tables = [t for t in tables if t.num_rows] or [t for t in tables if t.num_columns]
-    return pa.concat_tables(tables) if tables else _empty_geom_table()
 
 
 def _to_table(small) -> pa.Table:
@@ -126,6 +105,11 @@ class BroadcastIndex:
             )
         else:
             self.extent = (0.0, 0.0, 0.0, 0.0)
+
+    @property
+    def bounds(self):
+        """The shard's dilated tree extent (None when it indexes nothing)."""
+        return tuple(map(float, self.tree.root)) if self.batch.n else None
 
     @staticmethod
     def decode(batch: pa.Table) -> GeomBatch:
@@ -318,23 +302,6 @@ def _probe_knn(index, big: GeomBatch, k: int, max_distance, rows: np.ndarray | N
     return tuple(map(np.concatenate, zip(*out)))
 
 
-# Per-worker deserialized-index cache: stateless probe *tasks* reuse worker
-# processes, so the broadcast index is fetched + deserialized once per worker
-# instead of once per actor-pool spin-up (actor pools cost seconds of startup
-# per pipeline execution; plain tasks reuse Ray's prestarted workers).
-_INDEX_CACHE: dict = {}
-
-
-def _get_index(index_ref):
-    key = index_ref.hex()
-    idx = _INDEX_CACHE.get(key)
-    if idx is None:
-        idx = ray.get(index_ref)
-        _INDEX_CACHE.clear()  # hold at most one (bounded worker heap)
-        _INDEX_CACHE[key] = idx
-    return idx
-
-
 def _knn_sharded(kind, shards, big: GeomBatch, k: int, max_distance: float) -> pa.Table:
     """kNN over the shards in at most two bounded passes.  A row's *gap* to
     a shard (``kind.gap``) is a lower bound on any key into that shard.
@@ -348,7 +315,7 @@ def _knn_sharded(kind, shards, big: GeomBatch, k: int, max_distance: float) -> p
     if big.n == 0:
         return kind.empty("knn")
     if len(shards) == 1:
-        parts = [_probe_knn(_get_index(shards[0][0]), big, k, max_distance)]
+        parts = [_probe_knn(get_index(shards[0][0]), big, k, max_distance)]
     else:
         gap = kind.gap(big.bbox, np.array([e for _, e in shards], np.float64))
         home = np.argmin(gap, axis=1)
@@ -356,7 +323,7 @@ def _knn_sharded(kind, shards, big: GeomBatch, k: int, max_distance: float) -> p
         for j, (ref, _) in enumerate(shards):
             rows = np.flatnonzero(home == j)
             if rows.size:
-                parts.append(_probe_knn(_get_index(ref), big, k, max_distance, rows))
+                parts.append(_probe_knn(get_index(ref), big, k, max_distance, rows))
         b, _, d, rank = map(np.concatenate, zip(*parts))
         kth = rank == k - 1
         bound = np.full(big.n, max_distance, np.float64)
@@ -365,7 +332,7 @@ def _knn_sharded(kind, shards, big: GeomBatch, k: int, max_distance: float) -> p
         for j, (ref, _) in reversed(list(enumerate(shards))):
             rows = np.flatnonzero((home != j) & (gap[:, j] <= bound))
             if rows.size:
-                parts.append(_probe_knn(_get_index(ref), big, k, bound, rows))
+                parts.append(_probe_knn(get_index(ref), big, k, bound, rows))
     b, s, d, _ = map(np.concatenate, zip(*parts))
     return kind.knn_table(*_top_k(big.row_id[b], s, d, k))
 
@@ -380,11 +347,11 @@ def probe_fn(batch: pa.Table, *, kind, shards, mode: str, k: int = 0,
     worker's cached shard is visited first, so each shard is fetched at most
     once per pass and one is resident at a time."""
     big = kind.decode(batch)
-    shards = sorted(shards, key=lambda sh: sh[0].hex() not in _INDEX_CACHE)
+    shards = sorted(shards, key=lambda sh: not is_cached(sh[0]))
     if mode == "knn":
         return _knn_sharded(kind, shards, big, k, max_distance)
     if len(shards) == 1:
-        return getattr(_get_index(shards[0][0]), mode)(big, batch, **kwargs)
+        return getattr(get_index(shards[0][0]), mode)(big, batch, **kwargs)
     bb = big.bbox
     outs = []
     for ref, (x0, y0, x1, y1) in shards:
@@ -392,76 +359,25 @@ def probe_fn(batch: pa.Table, *, kind, shards, mode: str, k: int = 0,
         rows = np.flatnonzero(~((bb[:, 0] > x1) | (bb[:, 2] < x0)
                                 | (bb[:, 1] > y1) | (bb[:, 3] < y0)))
         if rows.size:
-            outs.append(getattr(_get_index(ref), mode)(big, batch, rows, **kwargs))
+            outs.append(getattr(get_index(ref), mode)(big, batch, rows, **kwargs))
     return pa.concat_tables(outs) if outs else kind.empty(mode, kwargs.get("with_geos", False))
 
 
-# ---------------------------------------------------------------------------
-# shard build
-# ---------------------------------------------------------------------------
-
-# caps of one shard: rows, and serialized bytes (a shard index must fit every
-# worker's share of the object store)
-DEFAULT_BROADCAST_ROWS = 2_000_000
-DEFAULT_BROADCAST_BYTES = 2 << 30
-# sampled small rows behind the shard cuts: quantiles of 100k centers put
-# each cut within a fraction of a percent of its target rank
-_SHARD_SAMPLE = 100_000
-_SHARD_SEED = 42
+def _bboxes(t: pa.Table) -> pa.Table:
+    g = GeomBatch.from_arrow(t)
+    return pa.table({"xmin": pa.array(g.bbox[:, 0]), "ymin": pa.array(g.bbox[:, 1]),
+                     "xmax": pa.array(g.bbox[:, 2]), "ymax": pa.array(g.bbox[:, 3])})
 
 
 def _sample_extent(ds, frac: float = 0.1, seed: int = 42, cap: int = 1_000_000):
-    """Seeded bbox sample with O(1) driver memory at ANY input size
-    (VERDICT r2 #1): the fraction is scaled down when Dataset metadata
-    knows the row count (unbiased sample), and a streaming ``limit(cap)``
-    is the hard backstop when it doesn't.  Plans only affect performance,
-    never the join's output row set, so a front-biased fallback sample is
-    safe; at 10^11 rows the old fraction-based pull was an unbounded
-    driver materialization."""
-
-    def bboxes(t: pa.Table) -> pa.Table:
-        g = GeomBatch.from_arrow(t)
-        return pa.table(
-            {
-                "xmin": pa.array(g.bbox[:, 0]),
-                "ymin": pa.array(g.bbox[:, 1]),
-                "xmax": pa.array(g.bbox[:, 2]),
-                "ymax": pa.array(g.bbox[:, 3]),
-            }
-        )
-
-    eff = bounded_sample_frac(frac, meta_row_count(ds), cap)
-    # limit after the bbox map: between them it split the sample and the
-    # map into two tasks per block
-    df = (ds.random_sample(eff, seed=seed)
-          .map_batches(bboxes, batch_format="pyarrow")
-          .limit(cap)
-          .to_pandas())
-    if df.empty:
-        df = ds.limit(1000).map_batches(bboxes, batch_format="pyarrow").to_pandas()
-    return df
+    """Seeded bbox sample of ``ds`` (``shards.sample``)."""
+    return sample(ds, _bboxes, frac, seed, cap)
 
 
-def _shard_of(t: pa.Table, cuts: np.ndarray) -> np.ndarray:
-    """Shard of each row: its x-slice by bbox-center x."""
+def _center_x(t: pa.Table) -> np.ndarray:
+    """The shard cut key: bbox-center x."""
     bb = GeomBatch.from_arrow(t).bbox
-    return np.searchsorted(cuts, (bb[:, 0] + bb[:, 2]) * 0.5, side="right")
-
-
-@ray.remote(num_returns=2)
-def _build_shard(build, cuts: Optional[np.ndarray], shard: int, *blocks: pa.Table):
-    """Build task of one shard: ``build`` (an index kind, or a ``partial`` of
-    one) over the small rows of x-slice ``shard`` (every row when ``cuts``
-    is None), and the index's tree extent (None for an empty shard)."""
-    if cuts is not None:
-        blocks = [t.filter(pa.array(_shard_of(t, cuts) == shard)) for t in blocks if t.num_rows]
-    index = build(concat_blocks(blocks))
-    return index, (tuple(map(float, index.tree.root)) if index.batch.n else None)
-
-
-def _n_shards(rows: int, nbytes: int) -> int:
-    return max(1, math.ceil(rows / DEFAULT_BROADCAST_ROWS),
-               math.ceil(nbytes / DEFAULT_BROADCAST_BYTES))
+    return (bb[:, 0] + bb[:, 2]) * 0.5
 
 
 def _build_shards(small, build):
@@ -470,21 +386,7 @@ def _build_shards(small, build):
     shard, which every big row probes."""
     if isinstance(small, (list, tuple, pa.Table)):
         small = _to_table(small)
-        k = _n_shards(small.num_rows, small.nbytes)
-        if k == 1:
-            return ((ray.put(build(small)), None),)
-        small = ray.data.from_arrow(small)
-    else:
-        small = small.materialize()
-        k = _n_shards(meta_row_count(small) or 0, meta_size_bytes(small) or 0)
-    cuts = None
-    if k > 1:
-        df = _sample_extent(small, 1.0, _SHARD_SEED, _SHARD_SAMPLE)
-        cx = ((df["xmin"] + df["xmax"]) * 0.5).to_numpy()
-        cuts = np.unique(np.quantile(cx, np.linspace(0.0, 1.0, k + 1)[1:-1]))
-    blocks = small.to_arrow_refs()
-    built = [_build_shard.remote(build, cuts, i, *blocks)
-             for i in range(1 if cuts is None else cuts.size + 1)]
+    built, cuts = build_shards(small, build, _center_x)
     if cuts is None:
         # no wait on the build: the executor starts while it runs
         return ((built[0][0], None),)
@@ -497,23 +399,14 @@ def _stream(big, kind, shards, batch_size: int | None, **kwargs):
     ``kind``.  ``batch_size`` is the probe batch with one shard (None: whole
     blocks); with several shards the probe takes whole blocks, so a block is
     decoded once for all shards."""
-    # the driver's part of the plan (an in-memory side's index, the shard
-    # sample) is done: its freed heap goes back to the OS rather than being
-    # carried through the query
-    release_free_heap()
     if isinstance(big, (list, tuple, pa.Table)):
         big = ray.data.from_arrow(_to_table(big))
     if meta_row_count(big) == 0:
         # no probe block would carry the output schema; a big side that is
         # empty only once executed still yields a schema-less result
         return ray.data.from_arrow(kind.empty(kwargs["mode"], kwargs.get("with_geos", False)))
-    return big.map_batches(
-        probe_fn,
-        fn_kwargs={"kind": kind, "shards": shards, **kwargs},
-        batch_format="pyarrow",
-        batch_size=batch_size if len(shards) == 1 else None,
-        num_cpus=1,
-    )
+    return stream(big, probe_fn, batch_size if len(shards) == 1 else None,
+                  kind=kind, shards=shards, **kwargs)
 
 
 class SpatialIndex:

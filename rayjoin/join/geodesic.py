@@ -140,6 +140,8 @@ class SphereIndex:
         g.bbox[:, 0] = g.bbox[:, 2] = _wrap(g.bbox[:, 0])
         return g
 
+    bounds = BroadcastIndex.bounds
+
     @staticmethod
     def empty(mode: str, with_geos: bool = False) -> pa.Table:
         return {"prox": _PROX_SCHEMA, "knn": _KNN_SCHEMA}[mode].empty_table()

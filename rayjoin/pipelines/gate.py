@@ -3612,27 +3612,26 @@ FROM s a JOIN s b ON b.doc_id = a.doc_id + 1
 
 def q_dup_source_matrix(sf_dir: str):
     """Near-duplicate leakage matrix between corpus sources: the certified
-    MinHash near-dup pairs hash-joined to each side's source label and
-    counted per unordered (source_a, source_b) cell — the "which crawls
-    copy which" curation report.  SQL twin reuses the exact all-pairs
-    MinHash oracle as a CTE, so the whole composition is end-to-end
-    checked."""
+    MinHash near-dup pairs looked up in each side's source label (one
+    sharded doc_id -> source lookup, ``join.equi``) and counted per
+    unordered (source_a, source_b) cell — the "which crawls copy which"
+    curation report.  SQL twin reuses the exact all-pairs MinHash oracle
+    as a CTE, so the whole composition is end-to-end checked."""
     import ray.data
     from ray.data.aggregate import Sum
 
-    from ..functions.dedup import _num_join_partitions, minhash_dedup_pairs
+    from ..functions.dedup import minhash_dedup_pairs
+    from ..join.equi import KeyLookup
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
     pairs = minhash_dedup_pairs(docs, threshold=0.8)
-    src = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                columns=["doc_id", "source"]).materialize()
-    nparts = _num_join_partitions(pairs, src)
-    j1 = pairs.join(src, "inner", nparts, on=("id_a",), right_on=("doc_id",))
-    j1 = j1.map_batches(
+    src = KeyLookup(ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                                          columns=["doc_id", "source"]), "doc_id")
+    j1 = src.join(pairs, "id_a").map_batches(
         lambda t: pa.table({"id_b": t["id_b"], "src_a": t["source"]}),
         batch_format="pyarrow")
-    j2 = j1.join(src, "inner", nparts, on=("id_b",), right_on=("doc_id",))
+    j2 = src.join(j1, "id_b")
 
     def cell(t: pa.Table) -> pa.Table:
         a = t["src_a"].combine_chunks()
@@ -4640,13 +4639,13 @@ def _segment_of(ref, keys: np.ndarray) -> pa.Array:
 def q_star_revenue(sf_dir: str):
     """TPC-H-style 3-way star join: lineitem -> orders -> customer, revenue
     per customer nation, integer-exact (cents x (100 - discount pct)).
-    Column pruning at every read; the fact table streams through two
-    Dataset.join hash shuffles sized by _num_join_partitions; per-batch
-    partial sums keep the final groupby counts-sized."""
+    Column pruning at every read; the fact table streams past two sharded
+    key lookups (``join.equi``: orders, then customer) with no exchange;
+    per-batch partial sums keep the final groupby counts-sized."""
     import ray.data
     from ray.data.aggregate import Sum
 
-    from ..functions.dedup import _num_join_partitions
+    from ..join.equi import equi_join
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -4670,11 +4669,9 @@ def q_star_revenue(sf_dir: str):
                                    columns=["o_orderkey", "o_custkey"])
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                                  columns=["c_custkey", "c_nationkey"])
-    j1 = li.join(orders, "inner", _num_join_partitions(li, orders),
-                 on=("l_orderkey",), right_on=("o_orderkey",))
+    j1 = equi_join(li, orders, "l_orderkey", "o_orderkey")
     j1 = j1.select_columns(["o_custkey", "rev"])
-    j2 = j1.join(cust, "inner", _num_join_partitions(j1, cust),
-                 on=("o_custkey",), right_on=("c_custkey",))
+    j2 = equi_join(j1, cust, "o_custkey", "c_custkey")
 
     def partial(t: pa.Table) -> pa.Table:
         g = (pa.table({"c_nationkey": t["c_nationkey"], "rev": t["rev"]})
@@ -4780,15 +4777,16 @@ GROUP BY l.l_partkey % 50
 
 def q_region_revenue(sf_dir: str):
     """TPC-H Q5-shaped 5-table pipeline: lineitem -> orders (date-pruned
-    at the read) -> customer hash joins, then nation/region resolve
-    through ONE broadcast lookup (dims are tiny — never shuffled);
-    revenue per nation name for regions 0 and 1, integer cents."""
+    at the read) -> customer sharded key lookups (``join.equi``, no
+    exchange), then nation/region resolve through ONE broadcast lookup
+    (dims are tiny — never shuffled); revenue per nation name for regions
+    0 and 1, integer cents."""
     import pyarrow.parquet as pq
     import ray
     import ray.data
     from ray.data.aggregate import Sum
 
-    from ..functions.dedup import _num_join_partitions
+    from ..join.equi import equi_join
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_name", "n_regionkey"])
@@ -4839,11 +4837,9 @@ def q_region_revenue(sf_dir: str):
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                                  columns=["c_custkey", "c_nationkey"])
     li = li.map_batches(prep_li, batch_format="pyarrow")
-    j1 = li.join(orders, "inner", _num_join_partitions(li, orders),
-                 on=("l_orderkey",), right_on=("o_orderkey",))
+    j1 = equi_join(li, orders, "l_orderkey", "o_orderkey")
     j1 = j1.select_columns(["o_custkey", "rev"])
-    j2 = j1.join(cust, "inner", _num_join_partitions(j1, cust),
-                 on=("o_custkey",), right_on=("c_custkey",))
+    j2 = equi_join(j1, cust, "o_custkey", "c_custkey")
 
     def resolve(t: pa.Table) -> pa.Table:
         ks, nms, rks = ray.get(lut)

@@ -19,30 +19,32 @@ def ray_session():
 
 
 class _BuildSpy:
-    """Stands in for ``broadcast._build_shard``: records each build task's
+    """Stands in for ``shards._build_shard``: records each build task's
     cuts (None for a one-shard build)."""
 
     def __init__(self, fn):
         self.fn = fn
         self.cuts = []
 
-    def remote(self, build, cuts, shard, *blocks):
+    def remote(self, build, cut_key, cuts, shard, *blocks):
         self.cuts.append(cuts)
-        return self.fn.remote(build, cuts, shard, *blocks)
+        return self.fn.remote(build, cut_key, cuts, shard, *blocks)
 
 
 @pytest.fixture
 def force_shards(monkeypatch):
     """``force_shards(n, k)`` shrinks a shard cap so a small side of ``n``
     rows (``by="rows"``) or ``n`` bytes (``by="bytes"``) makes ``k`` shards,
-    and returns a spy on the shard build tasks started from then on."""
-    import rayjoin.join.broadcast as broadcast
+    and returns a spy on the shard build tasks started from then on.  The
+    caps are shared by every client of ``rayjoin.shards``: the spatial
+    joins' small side and the key joins' right side."""
+    import rayjoin.shards as shards
 
     def force(n: int, k: int, by: str = "rows") -> _BuildSpy:
         cap = {"rows": "DEFAULT_BROADCAST_ROWS", "bytes": "DEFAULT_BROADCAST_BYTES"}[by]
-        monkeypatch.setattr(broadcast, cap, -(-n // k))
-        spy = _BuildSpy(broadcast._build_shard)
-        monkeypatch.setattr(broadcast, "_build_shard", spy)
+        monkeypatch.setattr(shards, cap, -(-n // k))
+        spy = _BuildSpy(shards._build_shard)
+        monkeypatch.setattr(shards, "_build_shard", spy)
         return spy
 
     return force

@@ -199,9 +199,9 @@ def test_minhash_exact_collapse_and_star(ray_session):
     assert sb.equals(sn) and len(sn) >= 190
 
 
-def test_collapse_exact_join_tier_matches_broadcast(ray_session):
-    """_collapse_exact_texts / _expand_exact_pairs join-tier fallbacks
-    (forced with zero broadcast caps) must agree with the broadcast tier."""
+def test_collapse_exact_join_tier_matches_broadcast(ray_session, force_shards):
+    """_collapse_exact_texts / _expand_exact_pairs give the same rows with
+    one lookup shard and with forced K > 1 shards."""
     import ray
     import ray.data
 
@@ -222,8 +222,11 @@ def test_collapse_exact_join_tier_matches_broadcast(ray_session):
     ds = ray.data.from_arrow(t).repartition(3)
 
     outs = {}
-    for tier, caps in (("bcast", {}), ("join", {"broadcast_threshold_rows": 0})):
-        reps, members, dup = _collapse_exact_texts(ds, **caps)
+    spy = None
+    for tier in ("bcast", "join"):
+        if tier == "join":
+            spy = force_shards(4, 2)
+        reps, members, dup = _collapse_exact_texts(ds)
         assert members is not None
         reps_ids = sorted(r["doc_id"] for r in
                           reps.select_columns(["doc_id"]).take_all())
@@ -231,6 +234,7 @@ def test_collapse_exact_join_tier_matches_broadcast(ray_session):
         outs[tier] = (reps_ids, mem)
     assert outs["bcast"] == outs["join"]
     assert outs["bcast"][1] == [(20, 21), (20, 22), (20, 23), (40, 41), (40, 42)]
+    assert any(c is not None for c in spy.cuts)
 
     # cross-group expansion: a verified rep pair (20, 40) with a value col
     reps, members, dup = _collapse_exact_texts(ds)
@@ -239,9 +243,11 @@ def test_collapse_exact_join_tier_matches_broadcast(ray_session):
         "id_b": pa.array([40], pa.int64()),
         "hamming": pa.array([2], pa.int64()),
     }))
-    for kw in ({}, {"broadcast_threshold_rows": 0}):
+    for k in (1, 2):
+        spy = force_shards(7, k)  # the roster: 5 members + 2 reps
         out = _expand_exact_pairs(verified, members, dup, mode="pairs",
-                                  fill_cols={"hamming": 0}, **kw).to_pandas()
+                                  fill_cols={"hamming": 0}).to_pandas()
+        assert (k > 1) == any(c is not None for c in spy.cuts)
         got = sorted(map(tuple, out[["id_a", "id_b", "hamming"]]
                          .itertuples(index=False)))
         # 4x3 cross pairs at hamming 2, plus intra cliques (6 + 3) at 0
@@ -447,9 +453,9 @@ def test_jaccard_batch_matches_scalar_spec():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_verify_pairs_shuffle_equals_broadcast():
-    """The Dataset.join verify path emits the same pairs as the broadcast
-    lookup path (the >threshold fallback is exercised explicitly)."""
+def test_verify_pairs_shuffle_equals_broadcast(force_shards):
+    """The verify emits the same pairs with one lookup shard and with
+    forced K > 1 shards."""
     import ray.data
 
     from rayjoin.functions.dedup import verify_pairs_jaccard
@@ -469,8 +475,10 @@ def test_verify_pairs_shuffle_equals_broadcast():
         return list(map(tuple, df.to_numpy()))
 
     broad = rows(verify_pairs_jaccard(pairs, corpus, threshold=0.8))
-    shuf = rows(verify_pairs_jaccard(pairs, corpus, threshold=0.8, broadcast_threshold_rows=0))
+    spy = force_shards(12, 3)
+    shuf = rows(verify_pairs_jaccard(pairs, corpus, threshold=0.8))
     assert broad == shuf
+    assert any(c is not None for c in spy.cuts)
     assert len(broad) > 0  # identical-template pairs survive
 
 
@@ -874,9 +882,10 @@ def test_vectorize_tiles_bucketed_vs_scalar_oracle():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_verify_pairs_drops_missing_ids():
-    """Pairs naming a doc absent from the corpus are DROPPED by both verify
-    paths (inner-join semantics), never scored against the wrong doc."""
+def test_verify_pairs_drops_missing_ids(force_shards):
+    """Pairs naming a doc absent from the corpus are DROPPED (inner-join
+    semantics) with one lookup shard and with forced K > 1, never scored
+    against the wrong doc."""
     import ray.data
 
     from rayjoin.functions.dedup import verify_pairs_jaccard
@@ -890,8 +899,9 @@ def test_verify_pairs_drops_missing_ids():
                   "id_b": pa.array([2, 98, 100], pa.int64())})
     )
     broad = verify_pairs_jaccard(pairs, corpus, threshold=0.5).to_pandas()
-    shuf = verify_pairs_jaccard(pairs, corpus, threshold=0.5,
-                                broadcast_threshold_rows=0).to_pandas()
+    spy = force_shards(2, 2)
+    shuf = verify_pairs_jaccard(pairs, corpus, threshold=0.5).to_pandas()
+    assert any(c is not None for c in spy.cuts)
     assert list(map(tuple, broad.to_numpy())) == [(1, 2)]
     assert list(map(tuple, shuf.to_numpy())) == [(1, 2)]
 
@@ -1107,10 +1117,10 @@ def test_simhash_dup_pairs_exact_vs_bruteforce():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_duplicated_windows_exact_vs_bruteforce():
+def test_duplicated_windows_exact_vs_bruteforce(force_shards):
     """duplicated_windows (ExactSubstr core) equals the brute-force window
     Counter on a corpus with a full copy, a shared 40-char run, and a
-    below-window doc — on BOTH the broadcast and the join fallback path."""
+    below-window doc — with one dup-hash shard and with forced K > 1."""
     from collections import Counter
 
     import ray.data
@@ -1133,12 +1143,13 @@ def test_duplicated_windows_exact_vs_bruteforce():
             exp[i] = c
     assert exp  # planted duplication is present
 
-    for thresh in (5_000_000, 0):  # broadcast path, then join fallback
+    for k in (1, 3):
+        spy = force_shards(sum(exp.values()), k)
         out = duplicated_windows(
             ray.data.from_arrow(t).repartition(4), window=W,
-            broadcast_threshold=thresh,
         ).to_pandas()
         assert dict(zip(out.doc_id.tolist(), out.n_dup_windows.tolist())) == exp
+        assert (k > 1) == any(c is not None for c in spy.cuts)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -1175,9 +1186,9 @@ def test_unigram_lm_scores_plan_parity():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_idw_interpolate_fixed_point():
+def test_idw_interpolate_fixed_point(force_shards):
     """IDW weights are capped ints; d == 0 neighbors take the cap weight;
-    broadcast and join value-attach paths agree bit-exactly."""
+    one values shard and forced K > 1 agree bit-exactly."""
     import ray.data
 
     from rayjoin.functions.interp import W_CAP, idw_interpolate
@@ -1194,16 +1205,44 @@ def test_idw_interpolate_fixed_point():
     kds = ray.data.from_arrow(knn).repartition(2)
     vds = ray.data.from_arrow(vals)
     a = idw_interpolate(kds, vds).to_pandas().sort_values("big_row_id").reset_index(drop=True)
-    b = idw_interpolate(kds, ray.data.from_arrow(vals),
-                        broadcast_threshold_rows=0).to_pandas().sort_values(
+    spy = force_shards(3, 2)
+    b = idw_interpolate(kds, ray.data.from_arrow(vals)).to_pandas().sort_values(
         "big_row_id").reset_index(drop=True)
     assert a.equals(b)
+    assert spy.cuts[0] is not None
     # query 1: w(0)=cap, w(2.0)=floor(1e9/4)=25e7, w(1e-9)=cap (overflow-capped)
     w0, w1, w2 = W_CAP, 250_000_000, W_CAP
     num = w0 * 5 + w1 * 7 + w2 * 9
     den = w0 + w1 + w2
     r1 = a[a.big_row_id == 1].iloc[0]
     assert (r1.idw_num, r1.idw_den, r1.idw_milli) == (num, den, (1000 * num) // den)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("k", [1, 2])
+def test_idw_interpolate_missing_neighbor_raises(force_shards, k):
+    """A kNN neighbor id missing from ``values`` raises the same KeyError
+    with one values shard and with forced K > 1 (never a silently dropped
+    neighbor)."""
+    import ray.data
+
+    from rayjoin.functions.interp import idw_interpolate
+
+    knn = pa.table({
+        "big_row_id": pa.array([1, 1, 2], pa.int64()),
+        "small_row_id": pa.array([10, 13, 12], pa.int64()),
+        "distance": pa.array([1.0, 2.0, 3.0], pa.float64()),
+    })
+    vals = pa.table({
+        "small_row_id": pa.array([10, 11, 12], pa.int64()),
+        "value": pa.array([5, 7, 9], pa.int64()),
+    })
+    spy = force_shards(3, k)
+    # Ray Data re-raises a UDF's error as a UserCodeException naming it
+    with pytest.raises(Exception, match="KeyError: 'idw_interpolate: neighbor id missing"):
+        idw_interpolate(ray.data.from_arrow(knn),
+                        ray.data.from_arrow(vals)).materialize()
+    assert (k > 1) == (spy.cuts[0] is not None)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -1654,7 +1693,7 @@ def _paragraph_dedup_oracle(docs: dict[int, str], sep: str = "\n") -> dict[int, 
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_paragraph_dedup_matches_oracle():
+def test_paragraph_dedup_matches_oracle(force_shards):
     """Cross-doc paragraph dedup: first occurrence survives, later copies
     are spliced out with their separator, empty paragraphs dedup too,
     all-dropped docs come back with empty text, untouched docs are
@@ -1680,12 +1719,14 @@ def test_paragraph_dedup_matches_oracle():
     got_b = paragraph_dedup(ds).to_pandas()
     assert dict(zip(got_b.doc_id, got_b.text_dedup)) == exp
 
-    got_j = paragraph_dedup(ds, broadcast_threshold_rows=0).to_pandas()
+    spy = force_shards(4, 2)
+    got_j = paragraph_dedup(ds).to_pandas()
     assert dict(zip(got_j.doc_id, got_j.text_dedup)) == exp
+    assert any(c is not None for c in spy.cuts)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_paragraph_dedup_random_differential():
+def test_paragraph_dedup_random_differential(force_shards):
     """500 random docs over a tiny paragraph vocabulary (heavy cross-doc
     duplication) match the brute-force oracle on both winner tiers; with
     passthrough the extra column rides along."""
@@ -1709,8 +1750,10 @@ def test_paragraph_dedup_random_differential():
     assert dict(zip(got.doc_id, got.text_dedup)) == exp
     assert set(got.columns) >= {"doc_id", "text", "lang", "text_dedup"}
 
-    got_j = paragraph_dedup(ds, broadcast_threshold_rows=0).to_pandas()
+    spy = force_shards(41, 3)
+    got_j = paragraph_dedup(ds).to_pandas()
     assert dict(zip(got_j.doc_id, got_j.text_dedup)) == exp
+    assert any(c is not None for c in spy.cuts)
 
 
 @pytest.mark.usefixtures("ray_session")

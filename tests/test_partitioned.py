@@ -581,10 +581,11 @@ def test_probe_releases_free_heap(monkeypatch, force_shards, small_kind, k):
     """Each probe hands the driver's freed heap back once, after the
     driver's part of the plan (the shard build) is done."""
     import rayjoin.join.broadcast as broadcast
+    import rayjoin.shards as shards
 
     big, small = _hot_inputs()
     calls = []
-    monkeypatch.setattr(broadcast, "release_free_heap", lambda: calls.append(len(calls)))
+    monkeypatch.setattr(shards, "release_free_heap", lambda: calls.append(len(calls)))
     force_shards(len(small), k)
     side = encode.geoms_to_table(small) if small_kind == "table" else _ds(small, 2)
     index = broadcast.SpatialIndex(side)

@@ -12,8 +12,10 @@ Usage: python tools/check_gate.py [--sf DIR] [names...]
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from pathlib import Path
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
@@ -63,6 +65,11 @@ def canonical(df):
 
 
 def main():
+    # the engine of this script's own checkout: the driver imports it from
+    # sys.path, and Ray's workers, which do not inherit sys.path, from PYTHONPATH
+    root = str(Path(__file__).resolve().parents[1])
+    sys.path.insert(0, root)
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf", default="/root/testdata/sf0.01")
     ap.add_argument("names", nargs="*")
@@ -79,7 +86,6 @@ def main():
 
     import duckdb
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()

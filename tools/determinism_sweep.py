@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
+from pathlib import Path
 
 
 def result_hash(r) -> str:
@@ -30,6 +32,11 @@ def result_hash(r) -> str:
 
 
 def main(argv=None):
+    # the engine of this script's own checkout: the driver imports it from
+    # sys.path, and Ray's workers, which do not inherit sys.path, from PYTHONPATH
+    root = str(Path(__file__).resolve().parents[1])
+    sys.path.insert(0, root)
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
     ap = argparse.ArgumentParser()
     ap.add_argument("names", nargs="*")
     ap.add_argument("--sf", default="/root/testdata/sf0.001")
@@ -43,7 +50,6 @@ def main(argv=None):
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
-    sys.path.insert(0, ".")
     import __ray_entry__ as e
 
     qs = e.queries()

@@ -11,11 +11,18 @@ compute (not conversion, scheduling, or shuffle machinery).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from pathlib import Path
 
 
 def main(argv=None):
+    # the engine of this script's own checkout: the driver imports it from
+    # sys.path, and Ray's workers, which do not inherit sys.path, from PYTHONPATH
+    root = str(Path(__file__).resolve().parents[1])
+    sys.path.insert(0, root)
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
     ap = argparse.ArgumentParser()
     ap.add_argument("query", nargs="?", default="entry")
     ap.add_argument("--sf", default="/root/testdata/sf0.01")
@@ -30,7 +37,6 @@ def main(argv=None):
 
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, ".")
     import __ray_entry__ as e
 
     t0 = time.time()

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -1520,6 +1522,11 @@ STRESSES = {"pbsm": stress_pbsm, "knn": stress_knn,
 
 
 def main(argv=None):
+    # the engine of this script's own checkout: the driver imports it from
+    # sys.path, and Ray's workers, which do not inherit sys.path, from PYTHONPATH
+    root = str(Path(__file__).resolve().parents[1])
+    sys.path.insert(0, root)
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
     ap = argparse.ArgumentParser()
     ap.add_argument("which", choices=list(STRESSES) + ["all"])
     ap.add_argument("--num-cpus", type=int, default=32)
@@ -1554,7 +1561,6 @@ def main(argv=None):
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
-    sys.path.insert(0, ".")
     fn = STRESSES[args.which]
     kwargs = {"n": args.n} if args.n and args.which in (
         "embedding", "corpus", "corpus_resume", "pillbox", "temporal",
