@@ -13,6 +13,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..util import one_array
+
 # occurrence-countable language markers (SQL: (len(t)-len(replace(t,m,'')))/len(m))
 LANG_MARKERS = {
     "en": " the ",
@@ -332,7 +334,7 @@ def token_hash_sets(batch: pa.Table, *, text_col: str = "text", n: int = 1):
 
 def _binary_u64(col):
     """(flat uint64 values, per-row counts) from a binary hash-set column."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    arr = one_array(col)
     n = len(arr)
     bufs = arr.buffers()
     off_dtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32

@@ -1,7 +1,7 @@
 """GeomBatch — zero-ish-copy packed NumPy view of an Arrow geometry batch.
 
 Decodes the wire format (rayjoin.geom.encode.GEOM_SCHEMA) into flat vertex /
-edge / ring arrays suitable for the vectorized kernels.  This replaces the
+ring arrays suitable for the vectorized kernels.  This replaces the
 reference's ``SplitGeoSeq`` 6-way type partitioning
 (/root/reference/src/structs.rs:83-91, 307-311): instead of six vectors we
 keep one flat layout plus ``kind`` codes; kernels bucket candidate pairs by
@@ -15,6 +15,19 @@ Normalizations applied at decode (all vectorized):
   interval is kept in ``bbox``,
 - polygon rings are closed if the fixture stored them open (geo-types
   ``Polygon::new`` closing rule).
+
+Two decoders, chosen from the input alone.  A *fixed-shape* batch — one
+kind out of point, line, rect and triangle, one ring per geometry, and that
+kind's raw vertex count in every ring — is decoded by reshape: offsets from
+``arange``, ``xy`` from the flat values (a triangle gains a copy of v0, a
+rect its ring by column writes), ``bbox`` from the vertex columns.  Any
+other batch (mixed kinds, linestrings, polygons, unexpected counts) goes
+through the ragged ring decode, the reference the fixed-shape decode is
+tested against: both give the same arrays, dtypes and bits.
+
+Edges are not built at decode: ``edges`` builds them from ``xy`` and the
+offsets the first time a kernel reads them (point-in-rect and
+point-in-triangle refine never do).
 """
 
 from __future__ import annotations
@@ -26,7 +39,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .spec import LINE, LINESTRING, POINT, POLYGON, RECT, TRIANGLE
+from ..util import one_array
+from .primitives import repeat_expand
+from .spec import LINE, POINT, POLYGON, RECT, TRIANGLE
 
 
 @dataclass
@@ -45,9 +60,9 @@ class GeomBatch:
 
     @property
     def edges(self) -> np.ndarray:
-        """Edge array; derivable from xy + offsets, so it is DROPPED from
+        """Edge array, built from xy + offsets on first read; DROPPED from
         pickles (it is ~half of a broadcast index's bytes) and rebuilt once
-        per receiving worker."""
+        per receiving worker that reads it."""
         if self._edges is None:
             self._edges = _build_edges(self.xy, self.ring_vert_off, self.ring_edge_off)
         return self._edges
@@ -134,17 +149,7 @@ class GeomBatch:
 
     @staticmethod
     def from_arrow(table) -> "GeomBatch":
-        if isinstance(table, pa.RecordBatch):
-            table = pa.Table.from_batches([table])
-        n = table.num_rows
-        row_id = np.asarray(table.column("row_id").combine_chunks(), dtype=np.int64)
-        kind = np.asarray(table.column("geom_type").combine_chunks(), dtype=np.int8)
-        coords = table.column("coords").combine_chunks()
-        rings_per_geom = np.asarray(pc.list_value_length(coords), dtype=np.int64)
-        inner = pc.list_flatten(coords)  # list<double> per ring
-        vals_per_ring = np.asarray(pc.list_value_length(inner), dtype=np.int64)
-        flat = np.asarray(pc.list_flatten(inner), dtype=np.float64)
-        return _build(n, row_id, kind, rings_per_geom, vals_per_ring, flat)
+        return _build(*_columns(table))
 
     @staticmethod
     def from_numpy(row_id, kind, rings_per_geom, vals_per_ring, flat) -> "GeomBatch":
@@ -158,7 +163,79 @@ class GeomBatch:
         )
 
 
+def _columns(table):
+    """``_build``'s arguments from an Arrow geometry table or record batch."""
+    if isinstance(table, pa.RecordBatch):
+        table = pa.Table.from_batches([table])
+    row_id = np.asarray(one_array(table.column("row_id")), dtype=np.int64)
+    kind = np.asarray(one_array(table.column("geom_type")), dtype=np.int8)
+    coords = one_array(table.column("coords"))
+    rings_per_geom = np.asarray(pc.list_value_length(coords), dtype=np.int64)
+    inner = pc.list_flatten(coords)  # list<double> per ring
+    vals_per_ring = np.asarray(pc.list_value_length(inner), dtype=np.int64)
+    flat = np.asarray(pc.list_flatten(inner), dtype=np.float64)
+    return table.num_rows, row_id, kind, rings_per_geom, vals_per_ring, flat
+
+
+# raw vertices per ring of each fixed-shape kind -> vertices after normalizing
+_FIXED = {POINT: (1, 1), LINE: (2, 2), RECT: (2, 5), TRIANGLE: (3, 4)}
+
+
 def _build(n, row_id, kind, rings_per_geom, vals_per_ring, flat) -> GeomBatch:
+    k = int(kind[0]) if n else None
+    if (
+        k in _FIXED
+        and not (rings_per_geom != 1).any()
+        and not (kind != k).any()
+        and not (vals_per_ring != 2 * _FIXED[k][0]).any()
+    ):
+        return _build_fixed(n, row_id, kind, k, flat)
+    return _build_ragged(n, row_id, kind, rings_per_geom, vals_per_ring, flat)
+
+
+def _build_fixed(n, row_id, kind, k, flat) -> GeomBatch:
+    """Decode n one-ring geometries of fixed-shape kind ``k`` by reshape."""
+    raw, c = _FIXED[k]
+    raw_xy = flat.reshape(n, raw, 2)
+    if k == TRIANGLE:
+        xy = np.empty((n, c, 2), dtype=np.float64)
+        xy[:, :raw] = raw_xy
+        xy[:, raw] = raw_xy[:, 0]
+    elif k == RECT:
+        # a=(xmin,ymin) b=(xmin,ymax) c=(xmax,ymax) d=(xmax,ymin), a again
+        xy = np.empty((n, c, 2), dtype=np.float64)
+        for v, (ix, iy) in enumerate([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]):
+            xy[:, v, 0] = raw_xy[:, ix, 0]
+            xy[:, v, 1] = raw_xy[:, iy, 1]
+    else:
+        xy = raw_xy
+    xy = xy.reshape(n * c, 2)
+    if c == 1:
+        bbox = np.tile(xy, 2)
+    else:
+        bbox = np.empty((n, 4), dtype=np.float64)
+        # the ragged decode's reduceat over the same strided columns, so
+        # NaN payloads come out the same (a contiguous min may pick another)
+        starts = np.arange(0, n * c, c, dtype=np.int64)
+        bbox[:, 0] = np.minimum.reduceat(xy[:, 0], starts)
+        bbox[:, 1] = np.minimum.reduceat(xy[:, 1], starts)
+        bbox[:, 2] = np.maximum.reduceat(xy[:, 0], starts)
+        bbox[:, 3] = np.maximum.reduceat(xy[:, 1], starts)
+    return GeomBatch(
+        n=n,
+        row_id=row_id,
+        kind=kind,
+        bbox=bbox,
+        geom_ring_off=np.arange(n + 1, dtype=np.int64),
+        ring_vert_off=np.arange(0, (n + 1) * c, c, dtype=np.int64),
+        xy=xy,
+        ring_edge_off=(np.arange(0, (n + 1) * (c - 1), c - 1, dtype=np.int64)
+                       if c > 1 else np.zeros(n + 1, dtype=np.int64)),
+    )
+
+
+def _build_ragged(n, row_id, kind, rings_per_geom, vals_per_ring, flat) -> GeomBatch:
+    """Decode any batch ring by ring (the fixed-shape decode's reference)."""
     raw_xy = flat.reshape(-1, 2)
     raw_verts_per_ring = vals_per_ring // 2
     R = raw_verts_per_ring.size
@@ -197,7 +274,7 @@ def _build(n, row_id, kind, rings_per_geom, vals_per_ring, flat) -> GeomBatch:
     #   k < raw_count  -> raw vertex k
     #   k == raw_count (tri/poly close) -> raw vertex 0
     # rects are synthesized separately.
-    ring_of_v, local_k = _repeat_expand(norm_counts)
+    ring_of_v, local_k = repeat_expand(norm_counts)
     src_base = raw_ring_vert_off[ring_of_v]
     raw_cnt = raw_verts_per_ring[ring_of_v]
     gather = src_base + np.where(local_k < raw_cnt, local_k, 0)
@@ -228,12 +305,10 @@ def _build(n, row_id, kind, rings_per_geom, vals_per_ring, flat) -> GeomBatch:
     # edges per ring: count = max(nverts-1, 0)
     edge_counts = np.maximum(norm_counts - 1, 0)
     ring_edge_off = np.concatenate([[0], np.cumsum(edge_counts)])
-    edges = _build_edges(xy, ring_vert_off, ring_edge_off)
 
     # bbox per geometry: min/max over its (normalized) vertices
     bbox = np.empty((n, 4), dtype=np.float64)
     gv_counts = ring_vert_off[geom_ring_off[1:]] - ring_vert_off[geom_ring_off[:-1]]
-    gv_id = np.repeat(np.arange(n, dtype=np.int64), gv_counts)
     bbox[:, 0] = _seg_reduce(np.minimum, xy[:, 0], gv_counts, np.inf)
     bbox[:, 1] = _seg_reduce(np.minimum, xy[:, 1], gv_counts, np.inf)
     bbox[:, 2] = _seg_reduce(np.maximum, xy[:, 0], gv_counts, -np.inf)
@@ -248,22 +323,14 @@ def _build(n, row_id, kind, rings_per_geom, vals_per_ring, flat) -> GeomBatch:
         ring_vert_off=ring_vert_off,
         xy=xy,
         ring_edge_off=ring_edge_off,
-        _edges=edges,
     )
 
 
 def _build_edges(xy, ring_vert_off, ring_edge_off) -> np.ndarray:
     edge_counts = np.diff(ring_edge_off)
-    ring_of_e, ek = _repeat_expand(edge_counts)
+    ring_of_e, ek = repeat_expand(edge_counts)
     sv = ring_vert_off[ring_of_e] + ek
     return np.column_stack([xy[sv, 0], xy[sv, 1], xy[sv + 1, 0], xy[sv + 1, 1]])
-
-
-def _repeat_expand(counts):
-    pair_id = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    local = np.arange(pair_id.size, dtype=np.int64) - starts[pair_id]
-    return pair_id, local
 
 
 def _seg_reduce(ufunc, values, counts, empty_val):

@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..util import one_array
+
 # lat/lon multipliers (distinct odd constants; key*MULT < 2^63 for key < 2^31)
 LAT_MULT = 2654435761
 LON_MULT = 2246822519
@@ -57,7 +59,7 @@ def fnv1a64(strings: pa.Array) -> np.ndarray:
     NumPy work plus ``max(len)`` Python iterations, ~0.25 µs per 48-byte
     URL on one core.  A null hashes like the empty string.
     """
-    arr = strings.combine_chunks() if isinstance(strings, pa.ChunkedArray) else strings
+    arr = one_array(strings)
     if len(arr) == 0:
         return np.empty(0, np.uint64)
     # flatten to bytes + offsets

@@ -13,8 +13,18 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
+import pyarrow as pa
 
 _KNUTH = 2654435761
+
+
+def one_array(col):
+    """``col`` as one Arrow array.  A one-chunk ``ChunkedArray`` gives its
+    chunk in place (``combine_chunks`` copies even then); more or zero
+    chunks are combined; an ``Array`` is returned as is."""
+    if isinstance(col, pa.ChunkedArray):
+        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    return col
 
 
 def knuth_bucket(values: np.ndarray, num_buckets: int) -> np.ndarray:

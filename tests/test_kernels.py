@@ -7,11 +7,16 @@ the degenerate corpus, and the vectorized result must equal the scalar spec
 exactly (booleans identical; distances bit-identical).
 """
 
+import pickle
+
 import numpy as np
+import pyarrow as pa
 import pytest
 
+from rayjoin import Interaction
 from rayjoin.fixtures import degenerate_cases, mixed_random, pillboxes
 from rayjoin.geom import encode, spec
+from rayjoin.geom import batch as gbatch
 from rayjoin.geom.batch import GeomBatch
 from rayjoin.geom.relates import relate, to_spec
 from rayjoin.geom.spec import Line, LineString, Point, Polygon, Rect, Triangle
@@ -22,6 +27,20 @@ def _batch(geoms):
 
 
 def _cross_check(small, big, methods=("intersects", "contains", "distance")):
+    _check_pairs(small, big, methods)
+    # the same geometries again as one-kind batches, so that the fixed-shape
+    # decode (points, lines, rects, triangles) meets the spec too
+    kinds_a = sorted({g.kind for g in small})
+    kinds_b = sorted({g.kind for g in big})
+    if len(kinds_a) == len(kinds_b) == 1:
+        return
+    for ka in kinds_a:
+        for kb in kinds_b:
+            _check_pairs([g for g in small if g.kind == ka],
+                         [g for g in big if g.kind == kb], methods)
+
+
+def _check_pairs(small, big, methods):
     A = _batch(small)
     B = _batch(big)
     na, nb = len(small), len(big)
@@ -142,3 +161,92 @@ def test_linestring_contains_walk_vectorized():
         LineString(((1.0, 0.0), (3.0, 0.0), (4.0, 1.0))),
     ]
     _cross_check(cases_a, cases_b, methods=("contains",))
+
+
+# ---- fixed-shape decode ≡ ragged decode ------------------------------------
+
+_DECODED = ("bbox", "geom_ring_off", "ring_vert_off", "xy", "ring_edge_off", "edges")
+
+
+def _assert_same_decode(got, ref):
+    assert got.n == ref.n
+    for f in _DECODED:
+        x, y = getattr(got, f), getattr(ref, f)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), f
+        assert x.tobytes() == y.tobytes(), f  # bits: NaN payloads, -0.0
+
+
+def _special_values(rng, size):
+    """Floats with NaN (both signs), ±inf, ±0.0 and ties mixed in."""
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
+    v = rng.uniform(-2.0, 2.0, size)
+    pick = rng.random(size) < 0.3
+    v[pick] = special[rng.integers(0, special.size, int(pick.sum()))]
+    return v
+
+
+def _single_kind_tables():
+    """One-kind geometry tables with special values: rects come out
+    inverted about half the time, triangles include degenerate ones."""
+    rng = np.random.default_rng(13)
+    n = 400
+    c = [_special_values(rng, n) for _ in range(6)]
+    # degenerate triangles: a repeated vertex, collinear, all three equal
+    c[2][:10], c[3][:10] = c[0][:10], c[1][:10]
+    c[4][10:20], c[5][10:20] = 2 * c[2][10:20] - c[0][10:20], 2 * c[3][10:20] - c[1][10:20]
+    for j in (2, 4):
+        c[j][20:30], c[j + 1][20:30] = c[0][20:30], c[1][20:30]
+    rid = np.arange(n)
+    return {
+        "point": encode.points_geom(rid, c[0], c[1]),
+        "line": encode.lines_geom(rid, *c[:4]),
+        "rect": encode.rects_geom(rid, *c[:4]),
+        "triangle": encode.tris_geom(rid, *c),
+    }
+
+
+def _layouts(t):
+    """The same rows as one chunk, several chunks, and a non-zero-offset slice."""
+    return {
+        "one_chunk": t,
+        "multi_chunk": pa.concat_tables([t.slice(0, 7), t.slice(7, 150), t.slice(157)]),
+        "sliced": t.slice(3, t.num_rows - 11),
+    }
+
+
+@pytest.mark.parametrize("kind", ["point", "line", "rect", "triangle"])
+def test_fixed_shape_decode_matches_ragged(kind, monkeypatch):
+    t = _single_kind_tables()[kind]
+    ragged = gbatch._build_ragged
+    refs = {name: ragged(*gbatch._columns(tt)) for name, tt in _layouts(t).items()}
+    # a one-kind batch must never take the ragged decode
+    monkeypatch.setattr(gbatch, "_build_ragged", None)
+    for name, tt in _layouts(t).items():
+        got = GeomBatch.from_arrow(tt)
+        _assert_same_decode(got, refs[name])
+        np.testing.assert_array_equal(got.row_id, refs[name].row_id)
+        # edges are rebuilt after a pickle round trip (they are not pickled)
+        _assert_same_decode(pickle.loads(pickle.dumps(got)), refs[name])
+    # empty batch: the fixed-shape decode of zero rows equals the ragged one
+    n, row_id, kinds, rings, vals, flat = gbatch._columns(t.slice(0, 0))
+    _assert_same_decode(gbatch._build_fixed(n, row_id, kinds, int(t["geom_type"][0].as_py()), flat),
+                        ragged(n, row_id, kinds, rings, vals, flat))
+
+
+def test_point_probe_builds_no_edges():
+    """CONTAINS point probes of rects and triangles read bbox and xy only, so
+    neither side builds its edges."""
+    from rayjoin.join.broadcast import BroadcastIndex
+
+    regions = encode.geoms_to_table([
+        Rect(0.0, 0.0, 2.0, 2.0), Triangle(1.0, 1.0, 4.0, 1.0, 1.0, 4.0), Rect(3.0, 3.0, 5.0, 5.0),
+    ])
+    index = BroadcastIndex(regions)
+    rng = np.random.default_rng(3)
+    points = encode.points_geom(np.arange(500), rng.uniform(-1, 6, 500), rng.uniform(-1, 6, 500))
+    big = BroadcastIndex.decode(points)
+    out = index.join(big, points, interaction=Interaction.CONTAINS)
+    exp = [(b, s) for b, g in encode.table_to_geoms(points)
+           for s, reg in encode.table_to_geoms(regions) if spec.contains(reg, g)]
+    assert sorted(zip(out["big_row_id"].to_pylist(), out["small_row_id"].to_pylist())) == sorted(exp)
+    assert index.batch._edges is None and big._edges is None

@@ -2,7 +2,8 @@
 
 ``fnv1a64`` is checked against a pure-Python byte loop, ``hilbert_xy2d``
 against the classic per-bit x2d loop it replaced; plus the fail-loud
-contracts of ``TileAssign`` (non-finite coordinates, resolution bound).
+contracts of ``TileAssign`` (non-finite coordinates, resolution bound), and
+that the column readers give the same result whatever the chunk layout.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ import pyarrow as pa
 import pytest
 
 from rayjoin.config import BadCoordinateValue
+from rayjoin.functions.text import _binary_u64
+from rayjoin.geom.batch import GeomBatch
+from rayjoin.geom.encode import points_geom
 from rayjoin.stages.geocode import fnv1a64
 from rayjoin.stages.tiles import TileAssign, hilbert_xy2d
+from rayjoin.util import one_array
 
 _M64 = 2**64 - 1
 
@@ -52,6 +57,56 @@ def test_fnv1a64_matches_byte_loop(arr):
     got = fnv1a64(arr)
     assert got.dtype == np.uint64
     np.testing.assert_array_equal(got, _fnv_oracle(arr.to_pylist()))
+
+
+def _chunk_layouts(arr: pa.Array) -> dict:
+    """``arr[5:]`` as one chunk, several chunks, and a non-zero-offset slice
+    of a one-chunk column."""
+    tail = arr.slice(5)
+    return {
+        "one_chunk": pa.chunked_array([pa.concat_arrays([tail])]),
+        "multi_chunk": pa.chunked_array([tail.slice(0, 3), tail.slice(3, 0), tail.slice(3)]),
+        "sliced": pa.chunked_array([arr]).slice(5),
+    }
+
+
+def test_column_readers_ignore_chunk_layout():
+    """``fnv1a64``, ``_binary_u64`` and ``GeomBatch.from_arrow`` read a
+    one-chunk column in place and give the same result for any layout,
+    zero chunks included."""
+    rng = np.random.default_rng(5)
+    n = 40
+    strings = pa.array([f"https://ex.com/{i * 7919}/{'x' * (i % 9)}" for i in range(n)])
+    sets = pa.array([np.unique(rng.integers(0, 50, i % 6)).astype(np.uint64).tobytes()
+                     for i in range(n)], pa.binary())
+    geoms = points_geom(np.arange(n), rng.random(n), rng.random(n))
+    exp_h = fnv1a64(strings.slice(5))
+    exp_v, exp_l = _binary_u64(sets.slice(5))
+    exp_g = GeomBatch.from_arrow(geoms.slice(5))
+    for name, col in _chunk_layouts(strings).items():
+        np.testing.assert_array_equal(fnv1a64(col), exp_h, err_msg=name)
+    for name, col in _chunk_layouts(sets).items():
+        v, lens = _binary_u64(col)
+        np.testing.assert_array_equal(v, exp_v, err_msg=name)
+        np.testing.assert_array_equal(lens, exp_l, err_msg=name)
+    geo_layouts = {
+        "one_chunk": geoms.slice(5).combine_chunks(),
+        "multi_chunk": pa.concat_tables([geoms.slice(5, 3), geoms.slice(8, 0), geoms.slice(8)]),
+        "sliced": geoms.slice(5),
+    }
+    for name, t in geo_layouts.items():
+        g = GeomBatch.from_arrow(t)
+        for f in ("row_id", "kind", "bbox", "xy", "ring_vert_off", "edges"):
+            np.testing.assert_array_equal(getattr(g, f), getattr(exp_g, f), err_msg=f"{name} {f}")
+    # a one-chunk column is read in place, not copied
+    one = pa.chunked_array([strings])
+    assert one_array(one).buffers()[2].address == strings.buffers()[2].address
+    # zero chunks
+    assert fnv1a64(pa.chunked_array([], pa.string())).size == 0
+    v, lens = _binary_u64(pa.chunked_array([], pa.binary()))
+    assert v.size == 0 and lens.size == 0
+    empty = GeomBatch.from_arrow(pa.Table.from_batches([], geoms.schema))
+    assert empty.n == 0 and empty.bbox.shape == (0, 4)
 
 
 def test_fnv1a64_random_ragged_batch():

@@ -6,7 +6,10 @@ and an order-insensitive value hash (columns sorted by name, rows sorted).
 Floats are compared by exact bit pattern — stricter than any plausible
 driver rounding.
 
-Usage: python tools/check_gate.py [--sf DIR] [names...]
+Usage: python tools/check_gate.py [--sf DIR] [--num-cpus N] [names...]
+
+``--num-cpus`` sets Ray's logical CPU count (default 8); ``--num-cpus 1``
+shows whether every query finishes on one CPU.
 """
 
 from __future__ import annotations
@@ -72,13 +75,14 @@ def main():
     os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf", default="/root/testdata/sf0.01")
+    ap.add_argument("--num-cpus", type=int, default=8)
     ap.add_argument("names", nargs="*")
     args = ap.parse_args()
 
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
+        ray.init(address="local", num_cpus=args.num_cpus, include_dashboard=False,
                  ignore_reinit_error=True, logging_level="ERROR")
     import ray.data
 
