@@ -6,9 +6,9 @@ DBSCAN is (functions/cluster.py):
 
   neighbor pairs (binary W, d-band)  -> the partitioned proximity
                                         SELF-join (rayjoin/join/partitioned.py)
-  value lookup for the small side    -> broadcast sorted-array tier under a
-                                        row cap (ray.put once, searchsorted in
-                                        map_batches), hash-join tier above
+  value lookup (both pair ends)      -> one sharded lookup of the values
+                                        table (join/equi.py KeyLookup; no
+                                        exchange, no pair row copied)
   per-point lag sums                 -> per-batch Arrow partials + ONE groupby
                                         (the shuffle carries (row_id, cnt,
                                         sum) partials, never the pair list)
@@ -28,11 +28,10 @@ int64 here.  Caller contract for no-overflow: n * max|val| * (1 + max
 neighborhood size) < 2^63 (document values are small codes/counts, not raw
 micro-quantities).
 
-100 TB shape: one proximity-join shuffle + one (row_id, cnt, sum) groupby;
-the values table rides as a broadcast object under ``broadcast_rows``
-(default 16M rows = 256 MiB of id+val pairs) and as two hash joins above it.
-No driver materialization anywhere; the only driver scalars are n and S
-(one tiny aggregate).
+100 TB shape: one proximity self-join + one (row_id, cnt, sum) groupby;
+the values table is sharded by row_id and built once, and every pair reads
+its value in place.  No driver materialization anywhere; the only driver
+scalars are n and S (one tiny aggregate).
 """
 
 from __future__ import annotations
@@ -48,13 +47,13 @@ _LAG_EMPTY = pa.table({
 })
 
 
-def spatial_lag(points, values, *, max_distance: float,
-                broadcast_rows: int = 16_000_000):
+def spatial_lag(points, values, *, max_distance: float):
     """Per-point d-band neighbor count and value sum.
 
     ``points``: Dataset/Table of point geometries (row_id/geom_type/coords,
     as built by ``geom.encode.points_geom``; row_ids unique).
-    ``values``: Dataset/Table[row_id:int64, val:int64] — one row per point.
+    ``values``: Dataset/Table[row_id:int64, val:int64] — one row per point;
+    a point with no value row raises a KeyError naming its row_id.
 
     Returns Dataset[row_id, val, nbrs, lag_sum] covering EVERY point:
     ``nbrs`` = #{j != i : dist(i,j) <= max_distance} (inclusive, the
@@ -63,122 +62,52 @@ def spatial_lag(points, values, *, max_distance: float,
     proximity join always emits keeps them in the aggregate; its own val is
     subtracted back out per group).
     """
-    import ray
     import ray.data
     from ray.data.aggregate import Sum
 
     from ..config import Config
+    from ..join.equi import KeyLookup
     from ..join.partitioned import partitioned_proximity_map
-    from ..util import drop_schemaless_empty_blocks
-    from .dedup import _num_join_partitions
 
     pts = ray.data.from_arrow(points) if isinstance(points, pa.Table) else points
     vals = ray.data.from_arrow(values) if isinstance(values, pa.Table) else values
     pts = pts.materialize()
-    vals = vals.materialize()
+    lut = KeyLookup(vals.select_columns(["row_id", "val"]), "row_id")
+
+    def val_of(ids: np.ndarray) -> np.ndarray:
+        v, hit = lut.get(ids, "val")
+        if not hit.all():
+            raise KeyError(f"spatial_lag: values missing row_id {int(ids[~hit][0])}")
+        return v
 
     pairs = partitioned_proximity_map(pts, pts, Config(max_distance=float(max_distance)))
-    pairs = pairs.map_batches(
-        lambda t: t.select(["big_row_id", "small_row_id"]),
-        batch_format="pyarrow")
-    pairs = drop_schemaless_empty_blocks(
-        pairs, pa.table({"big_row_id": pa.array([], pa.int64()),
-                         "small_row_id": pa.array([], pa.int64())}))
 
-    n_vals = vals.count()
-
-    if n_vals <= broadcast_rows:
-        # broadcast tier: (sorted ids, vals) built in a Ray task — the
-        # driver never holds them — read once per worker via ray.get.
-        @ray.remote(num_cpus=0)
-        def _sorted_lookup(*tabs):
-            keep = [x for x in tabs if x.num_rows]
-            if not keep:
-                return np.empty(0, np.int64), np.empty(0, np.int64)
-            t = pa.concat_tables(keep)
-            k = np.asarray(t["row_id"], dtype=np.int64)
-            v = np.asarray(t["val"], dtype=np.int64)
-            o = np.argsort(k, kind="stable")
-            return k[o], v[o]
-
-        lut_ref = _sorted_lookup.remote(*vals.to_arrow_refs())
-
-        def partial(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return pa.table({"row_id": pa.array([], pa.int64()),
-                                 "cnt": pa.array([], pa.int64()),
-                                 "sumv": pa.array([], pa.int64())})
-            k, v = ray.get(lut_ref)
-            big = np.asarray(t["big_row_id"].combine_chunks(), np.int64)
-            small = np.asarray(t["small_row_id"].combine_chunks(), np.int64)
-            vs = v[np.searchsorted(k, small)]
-            # group within the batch: sort by big id, segment-reduce
-            o = np.argsort(big, kind="stable")
-            big, vs = big[o], vs[o]
-            starts = np.flatnonzero(np.concatenate(
-                [[True], big[1:] != big[:-1]]))
-            cnt = np.diff(np.concatenate([starts, [big.size]]))
-            sums = np.add.reduceat(vs, starts)
-            return pa.table({"row_id": pa.array(big[starts], pa.int64()),
-                             "cnt": pa.array(cnt, pa.int64()),
-                             "sumv": pa.array(sums, pa.int64())})
-
-        agg = (pairs.map_batches(partial, batch_format="pyarrow")
-               .groupby("row_id")
-               .aggregate(Sum("cnt", alias_name="cnt"),
-                          Sum("sumv", alias_name="sumv")))
-
-        def finish(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return _LAG_EMPTY
-            k, v = ray.get(lut_ref)
-            ids = np.asarray(t["row_id"].combine_chunks(), np.int64)
-            own = v[np.searchsorted(k, ids)]
-            cnt = np.asarray(t["cnt"].combine_chunks(), np.int64)
-            sumv = np.asarray(t["sumv"].combine_chunks(), np.int64)
-            return pa.table({"row_id": pa.array(ids, pa.int64()),
-                             "val": pa.array(own, pa.int64()),
-                             "nbrs": pa.array(cnt - 1, pa.int64()),
-                             "lag_sum": pa.array(sumv - own, pa.int64())})
-
-        return agg.map_batches(finish, batch_format="pyarrow")
-
-    # join tier: correct at any size — one hash join of the pair list
-    # against values (small_row_id), partial-agg, then one join of the
-    # O(n)-row aggregate against values for the self-subtract.
-    nparts = _num_join_partitions(pairs, vals)
-    v_small = vals.map_batches(
-        lambda t: t.rename_columns(["small_row_id", "v_small"]),
-        batch_format="pyarrow")
-    joined = pairs.join(v_small, "inner", nparts, on=("small_row_id",))
-
-    def partial_j(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.table({"row_id": pa.array([], pa.int64()),
                              "cnt": pa.array([], pa.int64()),
                              "sumv": pa.array([], pa.int64())})
-        g = t.group_by("big_row_id").aggregate(
-            [("v_small", "count"), ("v_small", "sum")])
-        return pa.table({"row_id": g["big_row_id"].cast(pa.int64()),
-                         "cnt": g["v_small_count"].cast(pa.int64()),
-                         "sumv": g["v_small_sum"].cast(pa.int64())})
+        big = np.asarray(t["big_row_id"].combine_chunks(), np.int64)
+        vs = val_of(np.asarray(t["small_row_id"].combine_chunks(), np.int64))
+        # group within the batch: sort by big id, segment-reduce
+        o = np.argsort(big, kind="stable")
+        big, vs = big[o], vs[o]
+        starts = np.flatnonzero(np.concatenate([[True], big[1:] != big[:-1]]))
+        cnt = np.diff(np.concatenate([starts, [big.size]]))
+        sums = np.add.reduceat(vs, starts)
+        return pa.table({"row_id": pa.array(big[starts], pa.int64()),
+                         "cnt": pa.array(cnt, pa.int64()),
+                         "sumv": pa.array(sums, pa.int64())})
 
-    from ray.data.aggregate import Sum as _Sum
-    agg = (joined.map_batches(partial_j, batch_format="pyarrow")
+    agg = (pairs.map_batches(partial, batch_format="pyarrow")
            .groupby("row_id")
-           .aggregate(_Sum("cnt", alias_name="cnt"),
-                      _Sum("sumv", alias_name="sumv")))
-    agg = drop_schemaless_empty_blocks(
-        agg, pa.table({"row_id": pa.array([], pa.int64()),
-                       "cnt": pa.array([], pa.int64()),
-                       "sumv": pa.array([], pa.int64())}))
-    out = agg.join(vals, "inner", nparts, on=("row_id",))
+           .aggregate(Sum("cnt", alias_name="cnt"), Sum("sumv", alias_name="sumv")))
 
-    def finish_j(t: pa.Table) -> pa.Table:
+    def finish(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return _LAG_EMPTY
         ids = np.asarray(t["row_id"].combine_chunks(), np.int64)
-        own = np.asarray(t["val"].combine_chunks(), np.int64)
+        own = val_of(ids)
         cnt = np.asarray(t["cnt"].combine_chunks(), np.int64)
         sumv = np.asarray(t["sumv"].combine_chunks(), np.int64)
         return pa.table({"row_id": pa.array(ids, pa.int64()),
@@ -186,7 +115,7 @@ def spatial_lag(points, values, *, max_distance: float,
                          "nbrs": pa.array(cnt - 1, pa.int64()),
                          "lag_sum": pa.array(sumv - own, pa.int64())})
 
-    return out.map_batches(finish_j, batch_format="pyarrow")
+    return agg.map_batches(finish, batch_format="pyarrow")
 
 
 def ripley_k(points, *, radii):
@@ -260,8 +189,7 @@ def ripley_k(points, *, radii):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-def getis_ord(points, values, *, max_distance: float,
-              broadcast_rows: int = 16_000_000):
+def getis_ord(points, values, *, max_distance: float):
     """Integer-exact Getis-Ord Gi* hot-spot numerators (Getis & Ord 1992;
     Ord & Getis 1995) under the same binary d-band weights as
     ``local_moran``, INCLUDING self (the * variant).  With n = #points and
@@ -286,8 +214,7 @@ def getis_ord(points, values, *, max_distance: float,
     n = int(stats["n"])
     s = int(stats["s"] or 0)
 
-    lag = spatial_lag(points, vals, max_distance=max_distance,
-                      broadcast_rows=broadcast_rows)
+    lag = spatial_lag(points, vals, max_distance=max_distance)
     nn = pa.scalar(n, pa.int64())
     ss = pa.scalar(s, pa.int64())
     one = pa.scalar(1, pa.int64())
@@ -308,8 +235,7 @@ def getis_ord(points, values, *, max_distance: float,
     return lag.map_batches(score, batch_format="pyarrow")
 
 
-def local_moran(points, values, *, max_distance: float,
-                broadcast_rows: int = 16_000_000):
+def local_moran(points, values, *, max_distance: float):
     """Integer-exact local Moran's I numerators (see module docstring).
 
     Returns Dataset[row_id, nbrs, z_num, lag_num] with
@@ -327,8 +253,7 @@ def local_moran(points, values, *, max_distance: float,
     n = int(stats["n"])
     s = int(stats["s"] or 0)
 
-    lag = spatial_lag(points, vals, max_distance=max_distance,
-                      broadcast_rows=broadcast_rows)
+    lag = spatial_lag(points, vals, max_distance=max_distance)
     nn = pa.scalar(n, pa.int64())
     ss = pa.scalar(s, pa.int64())
 

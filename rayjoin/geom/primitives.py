@@ -84,10 +84,6 @@ def seg_min(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def seg_sum(values: np.ndarray, pair_id: np.ndarray, n_pairs: int) -> np.ndarray:
-    return np.bincount(pair_id, weights=values, minlength=n_pairs)
-
-
 # ---------------------------------------------------------------------------
 # scalar-twin vector kernels (flat arrays of rows)
 # ---------------------------------------------------------------------------
@@ -217,7 +213,3 @@ def v_rect_intersects_rect(a, b):
         (a[:, 0] > b[:, 2]) | (a[:, 2] < b[:, 0]) | (a[:, 1] > b[:, 3]) | (a[:, 3] < b[:, 1])
     )
 
-
-def v_bbox_overlap(a, b):
-    """Inclusive AABB overlap (candidate generation; rstar semantics)."""
-    return v_rect_intersects_rect(a, b)

@@ -503,20 +503,6 @@ def to_spec(batch: GeomBatch, gid: int):
     raise AssertionError(k)
 
 
-def _scalar_bucket(method: str, A, ia, B, ib) -> np.ndarray:
-    fn = {"contains": spec.contains, "intersects": spec.intersects, "distance": spec.distance}[
-        method
-    ]
-    out = np.empty(ia.size, dtype=np.float64 if method == "distance" else bool)
-    cache_a = {}
-    cache_b = {}
-    for k in range(ia.size):
-        ga = cache_a.setdefault(int(ia[k]), to_spec(A, int(ia[k])))
-        gb = cache_b.setdefault(int(ib[k]), to_spec(B, int(ib[k])))
-        out[k] = fn(ga, gb)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bucket bodies
 # ---------------------------------------------------------------------------

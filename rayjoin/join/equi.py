@@ -78,8 +78,9 @@ class KeyLookup:
     """The right side of key joins on column ``on``, sharded and built once
     (``shards.build_shards``).  ``join`` streams a left side past it.
     Inside a probe of its own, ``contains`` tests an array of keys, for a
-    filter before rows are materialized, and ``pairs`` finds two keys per
-    row, to read the two rows in place."""
+    filter before rows are materialized, ``get`` reads one payload column
+    at an array of keys, and ``pairs`` finds two keys per row, to read the
+    two rows in place."""
 
     def __init__(self, right, on: str):
         built, self.cuts = build_shards(right, partial(KeyIndex, key=on),
@@ -124,6 +125,18 @@ class KeyLookup:
         for index, rows in self.route(keys, valid):
             hit[rows] = index.find(keys[rows]) >= 0
         return hit
+
+    def get(self, keys: np.ndarray, col: str):
+        """Payload column ``col`` (int64) of each key's first row on this
+        side, and the mask of the keys found (a missing key reads 0)."""
+        out, hit = np.zeros(keys.size, np.int64), np.zeros(keys.size, bool)
+        for index, rows in self.route(keys, None):
+            pos = index.find(keys[rows])
+            rows, pos = rows[pos >= 0], pos[pos >= 0]
+            if rows.size:
+                hit[rows] = True
+                out[rows] = np.asarray(index.payload[col].take(pa.array(pos)), np.int64)
+        return out, hit
 
     def payload_schema(self) -> pa.Schema:
         ref = next((r for r in self.refs if is_cached(r)), self.refs[0])

@@ -413,7 +413,7 @@ def q_dbscan_points(sf_dir: str):
     """Exact DBSCAN (eps=3 inclusive, min_pts=4 self-inclusive) over
     clustered customer points: eps-edges via the partitioned proximity self-join,
     core points via a pre-aggregated degree groupby, components via
-    dup_clusters, border/noise via hash joins.  Labels are deterministic
+    dup_clusters, border/noise via sharded key lookups.  Labels are deterministic
     (min core row_id per cluster, min cluster per border point), so the
     recursive-CTE SQL twin hash-matches."""
     from ..functions.cluster import dbscan
@@ -429,9 +429,9 @@ def q_st_dbscan(sf_dir: str):
     """ST-DBSCAN (Birant & Kut 2007): the same clustered customer points
     with synthetic integer timestamps t = (key*7919) % 100000; a neighbor
     must satisfy BOTH eps=3 spatially AND |dt| <= 20000 — so space-only
-    clusters split into temporal episodes.  The temporal predicate rides
-    the engine's broadcast/join tiering over the partitioned spatial edge list
-    (functions/cluster.py:dbscan times/eps_t)."""
+    clusters split into temporal episodes.  The temporal predicate reads
+    both endpoints' timestamps from a sharded key lookup over the
+    partitioned spatial edge list (functions/cluster.py:dbscan times/eps_t)."""
     import ray.data
 
     from ..functions.cluster import dbscan
@@ -505,7 +505,7 @@ def q_local_moran(sf_dir: str):
     """Local Moran's I numerators (Anselin 1995 LISA) over the clustered
     customer points with val = c_custkey % 97 and a 3.0-unit binary
     d-band weight matrix: neighbor pairs from the SAME partitioned proximity
-    self-join DBSCAN uses, values broadcast as a sorted plasma array,
+    self-join DBSCAN uses, values attached by a sharded key lookup,
     (cnt, sum) partials pre-aggregated per block before the one groupby.
     Integer-exact: z_num = n*val - S, lag_num = n*lag_sum - nbrs*S
     (functions/spatial_stats.py)."""
@@ -7076,15 +7076,16 @@ FROM agg
 def q_geofence_transitions(sf_dir: str):
     """Geofence entry/exit detection: pings classify in/out of the supplier
     rect fence set through the broadcast R-tree join, the covered flag
-    joins back with one left_outer hash join, and state_transitions
-    (functions/stream.py) emits exactly the pings where the in/out state
-    flips per user.  The SQL twin is EXISTS + LAG."""
+    attaches by one left_outer ``equi_join`` of the pings onto the covered
+    ids, and state_transitions (functions/stream.py) emits exactly the pings
+    where the in/out state flips per user.  The SQL twin is EXISTS + LAG."""
     import ray.data
+    from ray.data.aggregate import Max
 
-    from ..functions.dedup import _num_join_partitions
     from ..functions.stream import state_transitions
     from ..geom.encode import points_geom
     from ..join.broadcast import SpatialIndex
+    from ..join.equi import equi_join
     from ..stages.geocode import fnv1a64
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -7116,14 +7117,10 @@ def q_geofence_transitions(sf_dir: str):
                          "one": pa.array(np.ones(ids.size, np.int64),
                                          pa.int64())})
 
-    from ray.data.aggregate import Max
-
     covered = (pairs.map_batches(covered_partial, batch_format="pyarrow")
                .groupby("cov_id").aggregate(Max("one", alias_name="one")))
 
-    j = pings.join(covered, "left_outer",
-                   _num_join_partitions(pings, covered),
-                   on=("event_id",), right_on=("cov_id",))
+    j = equi_join(pings, covered, "event_id", "cov_id", how="left_outer")
 
     def flag(t: pa.Table) -> pa.Table:
         state = pc.cast(pc.coalesce(t["one"], pa.scalar(0, pa.int64())),

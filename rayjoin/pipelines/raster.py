@@ -241,22 +241,23 @@ def grid_hot_components(pts, *, x_col: str = "x", y_col: str = "y",
     cells, and label each blob with its MIN packed cell id.
 
     Scale shape: per-batch (cell, count) partials -> one counts-sized
-    groupby; adjacency via two ``Dataset.join`` hash joins on shifted
-    packed ids (east + north neighbors — west/south follow by symmetry);
+    groupby; adjacency by a membership lookup of each hot cell's east and
+    north neighbors (west/south follow by symmetry) in the hot-cell set,
+    sharded and built once (``join.equi.KeyLookup``, no exchange);
     components through the existing pointer-doubling/driver-tiered
-    ``dup_clusters``; singleton hot cells rejoin via a min-groupby with
-    self-labels, so every hot cell appears exactly once.  The hot-cell
-    table is grid-bounded (not data-bounded), never the point stream.
+    ``dup_clusters``; the labels attach to the hot cells by a left_outer
+    ``equi_join``, and a singleton hot cell (no label) labels itself, so
+    every hot cell appears exactly once.  The hot-cell table is
+    grid-bounded (not data-bounded), never the point stream.
 
     ``cell_deg`` SHOULD be a power of two so FLOOR(x / cell) is bit-exact
     against a SQL twin.  Returns Dataset[cell_id, blob_id, n].
     """
     import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Min, Sum
+    from ray.data.aggregate import Sum
 
-    from ..functions.dedup import _num_join_partitions, dup_clusters
-    from ..util import drop_schemaless_empty_blocks
+    from ..functions.dedup import dup_clusters
+    from ..join.equi import KeyLookup, equi_join
 
     def partial(t: pa.Table) -> pa.Table:
         x = np.asarray(t[x_col].combine_chunks(), dtype=np.float64)
@@ -272,64 +273,33 @@ def grid_hot_components(pts, *, x_col: str = "x", y_col: str = "y",
         return (g.select(["cell_id", "count_all"])
                 .rename_columns(["cell_id", "n_p"]))
 
-    cells = (pts.map_batches(partial, batch_format="pyarrow")
-             .groupby("cell_id").aggregate(Sum("n_p", alias_name="n")))
-
-    def hot_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater_equal(t["n"], threshold))
-
-    hot_schema = pa.table({"cell_id": pa.array([], pa.int64()),
-                           "n": pa.array([], pa.int64())})
-    hot = drop_schemaless_empty_blocks(
-        cells.map_batches(hot_only, batch_format="pyarrow").materialize(),
-        hot_schema)
+    hot = (pts.map_batches(partial, batch_format="pyarrow")
+           .groupby("cell_id").aggregate(Sum("n_p", alias_name="n"))
+           .map_batches(lambda t: t.filter(pc.greater_equal(t["n"], threshold)),
+                        batch_format="pyarrow")
+           .materialize())
+    hot_ids = KeyLookup(hot, "cell_id")
 
     # east neighbor: cell_id + pack_w; north neighbor: cell_id + 1
-    def shift(k: int):
-        def f(t: pa.Table) -> pa.Table:
-            cid = np.asarray(t["cell_id"].combine_chunks(), dtype=np.int64)
-            return pa.table({"id_a": pa.array(cid, pa.int64()),
-                             "probe": pa.array(cid + k, pa.int64())})
-        return f
+    def neighbors(t: pa.Table) -> pa.Table:
+        cid = np.asarray(t["cell_id"].combine_chunks(), dtype=np.int64)
+        a = np.concatenate([cid, cid])
+        b = np.concatenate([cid + pack_w, cid + 1])
+        keep = hot_ids.contains(b)
+        return pa.table({"id_a": pa.array(a[keep], pa.int64()),
+                         "id_b": pa.array(b[keep], pa.int64())})
 
-    nparts = _num_join_partitions(hot, hot)
-    ids_only = hot.select_columns(["cell_id"])
-    pairs = None
-    for k in (pack_w, 1):
-        cand = drop_schemaless_empty_blocks(
-            hot.map_batches(shift(k), batch_format="pyarrow").materialize(),
-            pa.table({"id_a": pa.array([], pa.int64()),
-                      "probe": pa.array([], pa.int64())}))
-        j = cand.join(ids_only, "inner", nparts,
-                      on=("probe",), right_on=("cell_id",))
+    labels = dup_clusters(hot.map_batches(neighbors, batch_format="pyarrow"))
 
-        def lab(t: pa.Table) -> pa.Table:
-            return pa.table({"id_a": t["id_a"],
-                             "id_b": t["probe"]})
+    def blob(t: pa.Table) -> pa.Table:
+        # a cell's component label is the component's min cell, never above
+        # the cell itself; a cell with no hot neighbor is its own blob
+        return pa.table({"cell_id": t["cell_id"],
+                         "blob_id": pc.coalesce(t["cluster_id"], t["cell_id"]),
+                         "n": t["n"]})
 
-        p = j.map_batches(lab, batch_format="pyarrow")
-        pairs = p if pairs is None else pairs.union(p)
-
-    labels = dup_clusters(pairs)
-
-    def self_label(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["cell_id"],
-                         "cluster_id": t["cell_id"]})
-
-    lab_all = (labels.union(hot.map_batches(self_label,
-                                            batch_format="pyarrow"))
-               .groupby("doc_id")
-               .aggregate(Min("cluster_id", alias_name="blob_id")))
-
-    def relabel(t: pa.Table) -> pa.Table:
-        return pa.table({"cell_id": t["doc_id"], "blob_id": t["blob_id"]})
-
-    lab_all = drop_schemaless_empty_blocks(
-        lab_all.map_batches(relabel, batch_format="pyarrow").materialize(),
-        pa.table({"cell_id": pa.array([], pa.int64()),
-                  "blob_id": pa.array([], pa.int64())}))
-    out = hot.join(lab_all, "inner", nparts, on=("cell_id",))
-    return out.select_columns(["cell_id", "blob_id", "n"])
+    return equi_join(hot, labels, "cell_id", "doc_id", how="left_outer").map_batches(
+        blob, batch_format="pyarrow")
 
 
 def line_density_batch(batch: pa.Table, resolution: int,

@@ -41,6 +41,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from .util import bounded_sample_frac, meta_row_count, meta_size_bytes, release_free_heap
 
@@ -108,7 +109,10 @@ def build_shards(small, build, cut_key):
             return [(ray.put(build(small)), None)], None
         small = ray.data.from_arrow(small)
     else:
-        small = small.materialize()
+        # materialize() of a materialized side copies the plan and returns
+        # the same blocks, driver time on every query
+        if not isinstance(small, MaterializedDataset):
+            small = small.materialize()
         k = n_shards(meta_row_count(small) or 0, meta_size_bytes(small) or 0)
     cuts = None
     if k > 1:

@@ -20,15 +20,25 @@ def ray_session():
 
 class _BuildSpy:
     """Stands in for ``shards._build_shard``: records each build task's
-    cuts (None for a one-shard build)."""
+    cuts (None for a one-shard build) and build function."""
 
     def __init__(self, fn):
         self.fn = fn
         self.cuts = []
+        self.builds = []
 
     def remote(self, build, cut_key, cuts, shard, *blocks):
         self.cuts.append(cuts)
+        self.builds.append(build)
         return self.fn.remote(build, cut_key, cuts, shard, *blocks)
+
+    def sharded_key_lookup(self) -> bool:
+        """Whether some key lookup (``join.equi.KeyIndex``) was built in
+        more than one shard."""
+        from rayjoin.join.equi import KeyIndex
+
+        return any(c is not None and getattr(b, "func", None) is KeyIndex
+                   for b, c in zip(self.builds, self.cuts))
 
 
 @pytest.fixture

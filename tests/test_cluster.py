@@ -10,9 +10,13 @@ from rayjoin.geom.encode import points_geom
 def brute_dbscan(ids, x, y, eps, min_pts):
     """Reference DBSCAN with the engine's determinism contract (min core
     row_id = cluster id, border takes min cluster among core neighbors)."""
-    n = len(ids)
     d = np.sqrt((x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2)
-    adj = d <= eps
+    return brute_from_adj(ids, d <= eps, min_pts)
+
+
+def brute_from_adj(ids, adj, min_pts):
+    """``brute_dbscan`` over a given neighbor matrix (self-inclusive)."""
+    n = len(ids)
     core = adj.sum(1) >= min_pts
 
     parent = list(range(n))
@@ -48,6 +52,12 @@ def brute_dbscan(ids, x, y, eps, min_pts):
     return out
 
 
+def brute_st_dbscan(ids, x, y, t, eps, eps_t, min_pts):
+    d = np.sqrt((x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2)
+    return brute_from_adj(ids, (d <= eps) & (np.abs(t[:, None] - t[None, :]) <= eps_t),
+                          min_pts)
+
+
 def run_engine(ids, x, y, eps, min_pts, **kw):
     res = dbscan(points_geom(ids, x, y), eps=eps, min_pts=min_pts, **kw).to_pandas()
     return {
@@ -56,34 +66,38 @@ def run_engine(ids, x, y, eps, min_pts, **kw):
     }
 
 
-@pytest.mark.parametrize("method,bcast_rows", [
-    ("driver", 16_000_000),       # broadcast membership tier
-    ("distributed", 16_000_000),  # broadcast tier, distributed components
-    ("driver", 0),                # forced hash-join tier
+@pytest.mark.parametrize("method,k", [
+    ("driver", 1),
+    ("distributed", 1),  # distributed components
+    ("driver", 3),       # every lookup side sharded
 ])
-def test_dbscan_matches_brute_force(ray_session, method, bcast_rows):
+def test_dbscan_matches_brute_force(ray_session, force_shards, method, k):
     rng = np.random.default_rng(11)
     n = 300
     x = rng.uniform(0, 80, n)
     y = rng.uniform(0, 80, n)
     ids = (rng.permutation(n).astype(np.int64) * 7 + 3)
     exp = brute_dbscan(ids, x, y, eps=4.0, min_pts=4)
-    got = run_engine(ids, x, y, 4.0, 4,
-                     components_method=method,
-                     core_broadcast_rows=bcast_rows)
+    if k > 1:
+        spy = force_shards(n, k)
+    got = run_engine(ids, x, y, 4.0, 4, components_method=method)
     assert got == exp
+    if k > 1:
+        assert spy.sharded_key_lookup()
     # sanity: the instance exercises all three roles
     kinds = {(c == -1, ic) for c, ic in exp.values()}
     assert (True, False) in kinds and (False, True) in kinds
 
 
 def test_dbscan_all_noise(ray_session):
-    # far-apart points, min_pts 2 -> no cores, everything noise
+    # far-apart points, min_pts 2 -> no cores, everything noise (an empty
+    # core graph, whatever the components plan)
     ids = np.arange(5, dtype=np.int64)
     x = np.arange(5) * 100.0
     y = np.zeros(5)
-    got = run_engine(ids, x, y, 1.0, 2)
-    assert got == {i: (-1, False) for i in range(5)}
+    for method in ("auto", "distributed"):
+        got = run_engine(ids, x, y, 1.0, 2, components_method=method)
+        assert got == {i: (-1, False) for i in range(5)}
 
 
 def test_dbscan_min_pts_one_every_point_core(ray_session):
@@ -145,38 +159,7 @@ def test_dbscan_geodesic_matches_brute_force(ray_session):
     h = _hav(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
     adj = h <= hav_threshold(D)
     min_pts = 4
-    core = adj.sum(1) >= min_pts
-
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    ci = np.where(core)[0]
-    for a in ci:
-        for b in ci:
-            if adj[a, b]:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    members = {}
-    for a in ci:
-        members.setdefault(find(a), []).append(a)
-    lab = {}
-    for ms in members.values():
-        m = min(int(ids[i]) for i in ms)
-        for i in ms:
-            lab[i] = m
-    exp = {}
-    for i in range(n):
-        if core[i]:
-            exp[int(ids[i])] = (lab[i], True)
-        else:
-            cand = [lab[j] for j in ci if adj[i, j]]
-            exp[int(ids[i])] = (min(cand), False) if cand else (-1, False)
+    exp = brute_from_adj(ids, adj, min_pts)
 
     got = run_engine(ids, lon, lat, D, min_pts, metric="geodesic")
     assert got == exp
@@ -184,11 +167,10 @@ def test_dbscan_geodesic_matches_brute_force(ray_session):
     assert (False, True) in kinds  # clusters exist near pole/antimeridian
 
 
-@pytest.mark.parametrize("tier_kw", [{}, {"core_broadcast_rows": 0}],
-                         ids=["broadcast", "join"])
-def test_st_dbscan_splits_temporal_episodes(ray_session, tier_kw):
+@pytest.mark.parametrize("k", [1, 4])
+def test_st_dbscan_splits_temporal_episodes(ray_session, force_shards, k):
     """Two co-located bursts separated in time: spatial DBSCAN sees one
-    cluster, ST-DBSCAN two; both time-filter tiers agree."""
+    cluster, ST-DBSCAN two; one lookup shard or several agree."""
     import ray.data
 
     from rayjoin.functions.cluster import dbscan
@@ -209,8 +191,12 @@ def test_st_dbscan_splits_temporal_episodes(ray_session, tier_kw):
     plain = dbscan(pts, eps=1.0, min_pts=4).to_pandas()
     assert plain["cluster_id"].nunique() == 1  # one spatial blob
 
-    st = dbscan(pts, eps=1.0, min_pts=4, times=times, eps_t=5000,
-                **tier_kw).to_pandas().sort_values("row_id")
+    if k > 1:
+        spy = force_shards(n, k)
+    st = dbscan(pts, eps=1.0, min_pts=4, times=times,
+                eps_t=5000).to_pandas().sort_values("row_id")
+    if k > 1:
+        assert spy.sharded_key_lookup()
     labels = st["cluster_id"].to_numpy()
     assert (labels >= 0).all()
     early, late = set(labels[:20]), set(labels[20:])
@@ -218,12 +204,11 @@ def test_st_dbscan_splits_temporal_episodes(ray_session, tier_kw):
 
 
 @pytest.mark.parametrize("missing", [7, 39], ids=["inner_id", "max_id"])
-@pytest.mark.parametrize("tier_kw", [{}, {"core_broadcast_rows": 0}],
-                         ids=["broadcast", "join"])
-def test_st_dbscan_times_missing_row_id_raises(ray_session, tier_kw, missing):
-    """A point without a timestamp fails loudly, with the same error, on both
-    time-filter tiers, whether its id sits inside the sorted id range or past
-    its end.  The error is raised in a Ray task, which wraps it."""
+@pytest.mark.parametrize("k", [1, 4])
+def test_st_dbscan_times_missing_row_id_raises(ray_session, force_shards, k, missing):
+    """A point without a timestamp fails loudly, with the same error, on one
+    lookup shard or several, whether its id sits inside the id range or
+    past its end.  The error is raised in a Ray task, which wraps it."""
     import pyarrow as pa
     import ray.data
 
@@ -233,5 +218,73 @@ def test_st_dbscan_times_missing_row_id_raises(ray_session, tier_kw, missing):
     keep = ids != missing
     times = ray.data.from_arrow(pa.table({
         "row_id": pa.array(ids[keep]), "t": pa.array(ids[keep] * 10)}))
+    if k > 1:
+        spy = force_shards(40, k)
     with pytest.raises(Exception, match=f"TimesMissingRowId: times missing row_id {missing}"):
-        dbscan(pts, eps=0.5, min_pts=3, times=times, eps_t=100, **tier_kw).materialize()
+        dbscan(pts, eps=0.5, min_pts=3, times=times, eps_t=100).materialize()
+    if k > 1:
+        assert spy.sharded_key_lookup()
+
+
+def test_spatial_operators_on_one_cpu(tmp_path):
+    """Hot-cell blobs, ST-DBSCAN and spatial lag finish on a one-CPU Ray
+    session (no hash-join aggregator waits for a CPU) and equal brute
+    force.  Run in a fresh interpreter, which owns its own session."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from test_overlay import brute_hot_components
+    from test_spatial_stats import brute_lag
+
+    rng = np.random.default_rng(71)
+    n = 120
+    ids = rng.permutation(n).astype(np.int64) * 5 + 1
+    x = rng.uniform(-60, 60, n)
+    y = rng.uniform(-40, 40, n)
+    t = rng.integers(0, 400, n).astype(np.int64)
+    vals = rng.integers(0, 50, n).astype(np.int64)
+    np.savez(tmp_path / "in.npz", ids=ids, x=x, y=y, t=t, vals=vals)
+    script = """if 1:
+        import json, sys
+        import numpy as np
+        import pyarrow as pa
+        import ray
+        import ray.data
+
+        from rayjoin.functions.cluster import dbscan
+        from rayjoin.functions.spatial_stats import spatial_lag
+        from rayjoin.geom.encode import points_geom
+        from rayjoin.pipelines.raster import grid_hot_components
+
+        ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
+        ray.data.DataContext.get_current().enable_progress_bars = False
+        d = np.load(sys.argv[1] + "/in.npz")
+        ids, x, y, t, vals = (d[k] for k in ("ids", "x", "y", "t", "vals"))
+        pts = ray.data.from_arrow(points_geom(ids, x, y)).repartition(3)
+        xy = ray.data.from_arrow(pa.table({"x": x, "y": y})).repartition(3)
+        hot = grid_hot_components(xy, cell_deg=8.0, threshold=2).to_pandas()
+        st = dbscan(pts, eps=12.0, min_pts=3, eps_t=150,
+                    times=pa.table({"row_id": ids, "t": t})).to_pandas()
+        lag = spatial_lag(pts, pa.table({"row_id": ids, "val": vals}),
+                          max_distance=15.0).to_pandas()
+        ray.shutdown()
+        print(json.dumps({
+            "hot": [[int(r.cell_id), int(r.blob_id), int(r.n)] for r in hot.itertuples()],
+            "st": [[int(r.row_id), int(r.cluster_id), bool(r.is_core)] for r in st.itertuples()],
+            "lag": [[int(r.row_id), int(r.val), int(r.nbrs), int(r.lag_sum)]
+                    for r in lag.itertuples()]}))
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                         text=True, check=True, timeout=180,
+                         env={**os.environ, "PYTHONPATH": root}).stdout
+    got = json.loads(out.splitlines()[-1])
+
+    assert {c: (b, m) for c, b, m in got["hot"]} == brute_hot_components(x, y, 8.0, 2)
+    assert {i: (c, core) for i, c, core in got["st"]} == \
+        brute_st_dbscan(ids, x, y, t, 12.0, 150, 3)
+    nbrs, lag = brute_lag(ids, x, y, vals, 15.0)
+    assert sorted(map(tuple, got["lag"])) == sorted(zip(ids.tolist(), vals.tolist(), nbrs.tolist(),
+                                            lag.tolist()))

@@ -99,6 +99,37 @@ def test_equi_join_empty_and_schemaless_sides(force_shards, how, k):
             assert _canon(got[list(exp.columns)]).equals(_canon(exp))
 
 
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("k", [1, 3])
+def test_materialized_right_side_builds_in_place(force_shards, monkeypatch, k):
+    """An already materialized right side is built from its blocks as they
+    are: with ``materialize`` patched to raise, the lookup still builds and
+    joins the same rows, and ``get`` reads each key's first row."""
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+
+    from rayjoin.join.equi import KeyLookup
+
+    left, right = _left(), _right("dup")
+    spy = force_shards(right.num_rows, k)
+    side = ray.data.from_arrow(right).repartition(2).materialize()
+
+    def again(self):
+        raise AssertionError("a materialized side was materialized again")
+
+    monkeypatch.setattr(MaterializedDataset, "materialize", again)
+    lookup = KeyLookup(side, "k")
+    assert (spy.cuts[0] is None) == (k == 1)
+    got = lookup.join(ray.data.from_arrow(left), "a").to_pandas()
+    assert _canon(got).equals(_canon(_expected(left, right, "inner")))
+    keys = np.arange(-2, 45)
+    first = right.to_pandas().groupby("k")["v"].first()
+    v, hit = lookup.get(keys, "v")
+    assert np.array_equal(hit, np.isin(keys, first.index))
+    assert np.array_equal(v[hit], first.loc[keys[hit]].to_numpy())
+    assert not v[~hit].any()
+
+
 def test_expand_bounds_output_tables(monkeypatch):
     """A hot key's fan-out is yielded in tables of at most ``_OUT_ROWS``
     rows, splitting inside one left row, and the pairs are exact."""

@@ -167,33 +167,16 @@ def test_buffer_points_shape():
         assert abs(a - np.pi * r * r) < 0.02 * r * r
 
 
-def test_grid_hot_components_vs_bruteforce(ray_session):
-    import ray.data
-
-    from rayjoin.pipelines.raster import grid_hot_components
-
-    rng = np.random.default_rng(7)
-    n = 3000
-    # clustered points: a few gaussian blobs plus uniform noise
-    cx = rng.choice([-100.0, -96.0, 40.0, 44.0, 120.0], n)
-    cy = rng.choice([-40.0, 20.0, 24.0], n)
-    x = np.clip(cx + rng.normal(0, 6, n), -180, 179.9)
-    y = np.clip(cy + rng.normal(0, 6, n), -90, 89.9)
-    pts = ray.data.from_arrow(pa.table({
-        "x": pa.array(x, pa.float64()), "y": pa.array(y, pa.float64()),
-    })).repartition(5)
-    out = grid_hot_components(pts, cell_deg=8.0, threshold=5).to_pandas()
-    got = {int(r.cell_id): (int(r.blob_id), int(r.n))
-           for r in out.itertuples()}
-
-    # brute force
+def brute_hot_components(x, y, cell, threshold):
+    """{packed cell id: (blob id, n)} of ``grid_hot_components`` with its
+    default packing, by a union-find over the 4-adjacent hot cells."""
     import collections
+
     cnt = collections.Counter(
-        (int(np.floor(xx / 8.0)), int(np.floor(yy / 8.0)))
+        (int(np.floor(xx / cell)), int(np.floor(yy / cell)))
         for xx, yy in zip(x, y))
-    hot = {c: v for c, v in cnt.items() if v >= 5}
+    hot = {c: v for c, v in cnt.items() if v >= threshold}
     pid = {c: (c[0] + 16) * 1024 + (c[1] + 16) for c in hot}
-    # union-find over 4-adjacency
     parent = {c: c for c in hot}
 
     def find(c):
@@ -216,7 +199,28 @@ def test_grid_hot_components_vs_bruteforce(ray_session):
         blob = min(pid[m] for m in members)
         for m in members:
             want[pid[m]] = (blob, hot[m])
-    assert got == want
+    return want
+
+
+def test_grid_hot_components_vs_bruteforce(ray_session):
+    import ray.data
+
+    from rayjoin.pipelines.raster import grid_hot_components
+
+    rng = np.random.default_rng(7)
+    n = 3000
+    # clustered points: a few gaussian blobs plus uniform noise
+    cx = rng.choice([-100.0, -96.0, 40.0, 44.0, 120.0], n)
+    cy = rng.choice([-40.0, 20.0, 24.0], n)
+    x = np.clip(cx + rng.normal(0, 6, n), -180, 179.9)
+    y = np.clip(cy + rng.normal(0, 6, n), -90, 89.9)
+    pts = ray.data.from_arrow(pa.table({
+        "x": pa.array(x, pa.float64()), "y": pa.array(y, pa.float64()),
+    })).repartition(5)
+    out = grid_hot_components(pts, cell_deg=8.0, threshold=5).to_pandas()
+    got = {int(r.cell_id): (int(r.blob_id), int(r.n))
+           for r in out.itertuples()}
+    assert got == brute_hot_components(x, y, 8.0, 5)
     assert len({b for b, _ in got.values()}) > 1  # several blobs formed
 
 

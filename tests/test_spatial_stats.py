@@ -24,28 +24,56 @@ def synth(n, seed):
     return ids, x, y, vals
 
 
-def run_lag(ids, x, y, vals, d, **kw):
+def run_lag(ids, x, y, vals, d):
     import ray.data
 
     pts = ray.data.from_arrow(points_geom(ids, x, y)).repartition(3)
     vt = ray.data.from_arrow(pa.table({
         "row_id": pa.array(ids, pa.int64()),
         "val": pa.array(vals, pa.int64())})).repartition(2)
-    out = spatial_lag(pts, vt, max_distance=d, **kw).to_pandas()
+    out = spatial_lag(pts, vt, max_distance=d).to_pandas()
     return out.sort_values("row_id").reset_index(drop=True)
 
 
-@pytest.mark.parametrize("tier_kw", [{}, {"broadcast_rows": 0}],
-                         ids=["broadcast", "join"])
-def test_spatial_lag_matches_brute(ray_session, tier_kw):
+@pytest.mark.parametrize("k", [1, 3])
+def test_spatial_lag_matches_brute(ray_session, force_shards, k):
     ids, x, y, vals = synth(80, 7)
     d = 9.0
     nbrs, lag = brute_lag(ids, x, y, vals, d)
-    out = run_lag(ids, x, y, vals, d, **tier_kw)
+    if k > 1:
+        spy = force_shards(len(ids), k)
+    out = run_lag(ids, x, y, vals, d)
+    if k > 1:
+        assert spy.sharded_key_lookup()
     assert len(out) == len(ids)
     assert np.array_equal(out["nbrs"].to_numpy(), nbrs)
     assert np.array_equal(out["lag_sum"].to_numpy(), lag)
     assert np.array_equal(out["val"].to_numpy(), vals)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("op", ["spatial_lag", "getis_ord", "local_moran"])
+def test_missing_value_row_raises(ray_session, force_shards, op, k):
+    """A point with no value row raises a KeyError naming its row_id, on
+    one value shard or several, rather than borrowing another id's value
+    or dropping the point.  The error is raised in a Ray task, which wraps
+    it."""
+    import ray.data
+
+    from rayjoin.functions import spatial_stats
+
+    ids = np.arange(6, dtype=np.int64)
+    x = np.array([0.0, 0.5, 1.0, 10.0, 10.5, 11.0])
+    keep = ids != 1
+    vals = pa.table({"row_id": pa.array(ids[keep]),
+                     "val": pa.array(ids[keep] * 100)})
+    pts = ray.data.from_arrow(points_geom(ids, x, np.zeros(6))).repartition(2)
+    if k > 1:
+        spy = force_shards(5, k)
+    with pytest.raises(Exception, match="KeyError: 'spatial_lag: values missing row_id 1'"):
+        getattr(spatial_stats, op)(pts, vals, max_distance=0.6).materialize()
+    if k > 1:
+        assert spy.sharded_key_lookup()
 
 
 def test_isolated_points_have_zero_lag(ray_session):

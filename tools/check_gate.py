@@ -6,16 +6,20 @@ and an order-insensitive value hash (columns sorted by name, rows sorted).
 Floats are compared by exact bit pattern — stricter than any plausible
 driver rounding.
 
-Usage: python tools/check_gate.py [--sf DIR] [--num-cpus N] [names...]
+Usage: python tools/check_gate.py [--sf DIR] [--num-cpus N] [--timeout S] [names...]
 
 ``--num-cpus`` sets Ray's logical CPU count (default 8); ``--num-cpus 1``
-shows whether every query finishes on one CPU.
+shows whether every query finishes on one CPU.  With ``--timeout S`` a
+query whose engine side runs past S seconds prints ``TIMEOUT <name>``, Ray
+is restarted (the stalled query's tasks and actors would hold the session)
+and the sweep goes on; by default there is no limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -67,6 +71,15 @@ def canonical(df):
     return cdf
 
 
+class QueryTimeout(BaseException):
+    """Raised by SIGALRM; a BaseException, so no ``except Exception`` inside
+    the engine or Ray swallows it."""
+
+
+def _on_alarm(signum, frame):
+    raise QueryTimeout
+
+
 def main():
     # the engine of this script's own checkout: the driver imports it from
     # sys.path, and Ray's workers, which do not inherit sys.path, from PYTHONPATH
@@ -76,17 +89,22 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf", default="/root/testdata/sf0.01")
     ap.add_argument("--num-cpus", type=int, default=8)
+    ap.add_argument("--timeout", type=float, default=None,
+                    help="seconds a query's engine side may run (default: no limit)")
     ap.add_argument("names", nargs="*")
     args = ap.parse_args()
 
     import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=args.num_cpus, include_dashboard=False,
-                 ignore_reinit_error=True, logging_level="ERROR")
     import ray.data
 
-    ray.data.DataContext.get_current().enable_progress_bars = False
+    def start_ray():
+        if not ray.is_initialized():
+            ray.init(address="local", num_cpus=args.num_cpus, include_dashboard=False,
+                     ignore_reinit_error=True, logging_level="ERROR")
+        ray.data.DataContext.get_current().enable_progress_bars = False
+
+    start_ray()
+    signal.signal(signal.SIGALRM, _on_alarm)
 
     import duckdb
 
@@ -104,11 +122,20 @@ def main():
     for name in names:
         t0 = time.time()
         try:
+            signal.setitimer(signal.ITIMER_REAL, args.timeout or 0)
             got = canonical(to_pandas(qs[name](args.sf)))
+        except QueryTimeout:
+            print(f"TIMEOUT {name} [{time.time()-t0:.1f}s]", flush=True)
+            failures += 1
+            ray.shutdown()
+            start_ray()
+            continue
         except Exception as e:
             print(f"ERROR  {name}: ray side failed: {type(e).__name__}: {str(e)[:200]}")
             failures += 1
             continue
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
         sql = oracles.get(name)
         if sql is None:
             print(f"rows   {name}: {len(got)} rows (no SQL oracle) [{time.time()-t0:.1f}s]")
